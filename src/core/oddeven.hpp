@@ -17,6 +17,10 @@
 /// concurrently, each needing only S-blocks of adjacent odd columns already
 /// produced by deeper levels.
 
+#include <memory>
+#include <span>
+#include <vector>
+
 #include "core/paige_saunders.hpp"
 #include "kalman/model.hpp"
 #include "parallel/parallel_for.hpp"
@@ -35,32 +39,66 @@ struct OddEvenOptions {
 
 /// One finalized block row of the permuted R factor.  `col` is the original
 /// state index of the diagonal block; `left`/`right` are the original state
-/// indices of the off-diagonal coupling blocks (-1 when absent).  Both
-/// neighbors are odd columns of this row's level, i.e. they come later in
-/// the permuted ordering, so the row is genuinely upper triangular.
+/// indices of the off-diagonal coupling blocks (-1 when absent, with an
+/// empty block).  Both neighbors are odd columns of this row's level, i.e.
+/// they come later in the permuted ordering, so the row is genuinely upper
+/// triangular.  The blocks are views into the owning factor's row slab.
 struct OddEvenRow {
   la::index col = -1;
   la::index left = -1;
   la::index right = -1;
-  Matrix R;     ///< n_col x n_col, upper triangular (zero-padded square)
-  Matrix Eblk;  ///< n_col x n_left: R_{col,left}
-  Matrix Yblk;  ///< n_col x n_right: R_{col,right}
-  Vector rhs;   ///< transformed right-hand side rows of this block row
+  la::ConstMatrixView R;         ///< n_col x n_col, upper triangular (zero-padded square)
+  la::ConstMatrixView Eblk;      ///< n_col x n_left: R_{col,left}
+  la::ConstMatrixView Yblk;      ///< n_col x n_right: R_{col,right}
+  std::span<const double> rhs;   ///< transformed right-hand side rows of this block row
 };
 
 /// The rows finalized by one reduction level (its even columns).
 struct OddEvenLevel {
-  std::vector<OddEvenRow> rows;
+  std::span<const OddEvenRow> rows;  ///< into the owning factor's row array
 };
 
 /// Complete odd-even factorization of U A P: all levels, top first.
-struct OddEvenFactor {
+///
+/// Storage layout: the row blocks (R, Eblk, Yblk, rhs of every even column,
+/// in that order) live back to back in one slab, one contiguous region per
+/// level, placed by a serial prefix sum over shapes known before the
+/// level's parallel pass, so the workers write in place and every block is
+/// first touched by the worker that fills it.  The factor also owns the
+/// reduction's working slabs (ping-pong column and leftover-row slabs).  A
+/// refill through oddeven_factor_into reuses all of it, so refactoring a
+/// same-shaped problem performs zero heap allocations; the by-value entry
+/// points, whose factors are never refilled, release the working slabs
+/// before returning.  Move-only: moving keeps the rows' views valid, a copy
+/// could not.
+class OddEvenFactor {
+ public:
   std::vector<OddEvenLevel> levels;
   std::vector<la::index> dims;  ///< n_i per state
+
+  OddEvenFactor();
+  ~OddEvenFactor();
+  OddEvenFactor(OddEvenFactor&&) noexcept;
+  OddEvenFactor& operator=(OddEvenFactor&&) noexcept;
+  OddEvenFactor(const OddEvenFactor&) = delete;
+  OddEvenFactor& operator=(const OddEvenFactor&) = delete;
 
   [[nodiscard]] la::index num_states() const noexcept {
     return static_cast<la::index>(dims.size());
   }
+
+  /// Free the reduction's working slabs (about as large as the rows
+  /// themselves); the rows stay valid and the next refill reallocates them.
+  void release_working_storage() noexcept;
+
+  /// Level slabs and reduction working storage (defined in oddeven.cpp).
+  struct Storage;
+
+ private:
+  friend void oddeven_factor_into(const Problem&, par::ThreadPool&, la::index, OddEvenFactor&);
+  friend void oddeven_factor_from_bidiagonal_into(const BidiagonalFactor&, par::ThreadPool&,
+                                                  la::index, OddEvenFactor&);
+  std::unique_ptr<Storage> storage_;
 };
 
 /// Reusable per-state S-block storage for the odd-even SelInv replay
@@ -80,7 +118,12 @@ struct OddEvenCovScratch {
   std::vector<Slot> slots;
 };
 
-/// Factor the problem (parallel across block columns within each level).
+/// Factor the problem (parallel across block columns within each level)
+/// into `f`, reusing its storage: a warm `f` of a same-shaped problem is
+/// refilled without heap traffic.  On an exception `f` is left empty.
+void oddeven_factor_into(const Problem& p, par::ThreadPool& pool, la::index grain,
+                         OddEvenFactor& f);
+
 [[nodiscard]] OddEvenFactor oddeven_factor(const Problem& p, par::ThreadPool& pool,
                                            la::index grain = par::default_grain);
 
@@ -94,7 +137,10 @@ struct OddEvenCovScratch {
 /// system: means and SelInv covariances agree with back substitution on `b`
 /// to backend tolerance, and a long session's re-smooth gets the
 /// intra-parallel solver without re-paying the sequential elimination of the
-/// raw O(k (n+m)) rows.
+/// raw O(k (n+m)) rows.  Storage reuse as in oddeven_factor_into.
+void oddeven_factor_from_bidiagonal_into(const BidiagonalFactor& b, par::ThreadPool& pool,
+                                         la::index grain, OddEvenFactor& f);
+
 [[nodiscard]] OddEvenFactor oddeven_factor_from_bidiagonal(const BidiagonalFactor& b,
                                                            par::ThreadPool& pool,
                                                            la::index grain = par::default_grain);

@@ -22,11 +22,13 @@ namespace {
 /// dispatch in la/blas.cpp makes).
 constexpr index kSmallDim = 8;
 
-/// rinv = R^{-1} for upper-triangular R (upper triangle written, ld 8).
-inline void small_tri_inv(const Matrix& r, index n, double* rinv) {
-  for (index j = 0; j < n; ++j) {
+/// rinv = R^{-1} for upper-triangular R of order n <= kSmallDim (upper
+/// triangle written, ld 8).
+inline void small_tri_inv(const Matrix& r, index n, double (&rinv)[kSmallDim * kSmallDim]) {
+  assert(n <= kSmallDim);
+  for (index j = 0; j < std::min(n, kSmallDim); ++j) {
     rinv[j + j * kSmallDim] = 1.0 / r(j, j);
-    for (index i = j - 1; i >= 0; --i) {
+    for (index i = j; i-- > 0;) {
       double t = 0.0;
       for (index p = i + 1; p <= j; ++p) t += r(i, p) * rinv[p + j * kSmallDim];
       rinv[i + j * kSmallDim] = -t / r(i, i);

@@ -318,7 +318,8 @@ void Session::resmooth_large(const State& st, ResmoothCache& cache, bool with_co
     // fan-out could self-deadlock.  Everything the solve touches is the
     // executing worker's own (sc, out, the workspace arena).
     PITK_TRACE_SPAN("session.oddeven");
-    sc.oddeven_factor = kalman::oddeven_factor_from_bidiagonal(sc.factor, pool);
+    kalman::oddeven_factor_from_bidiagonal_into(sc.factor, pool, par::default_grain,
+                                                sc.oddeven_factor);
     kalman::oddeven_solve_into(sc.oddeven_factor, pool, par::default_grain, out.means);
     if (with_covariances)
       kalman::oddeven_covariances_into(sc.oddeven_factor, pool, par::default_grain,

@@ -89,7 +89,10 @@ void solve_with_into(Backend b, const Problem& p, const std::optional<GaussianPr
       return;
     }
     case Backend::OddEven: {
-      kalman::OddEvenFactor f = kalman::oddeven_factor(folded, pool, opts.grain);
+      // Fully warm: the factor's level slabs and reduction storage, the
+      // S-block slots and the result all reuse their capacity.
+      kalman::OddEvenFactor& f = cache.oddeven_factor;
+      kalman::oddeven_factor_into(folded, pool, opts.grain, f);
       detail::solve_checkpoint();
       kalman::oddeven_solve_into(f, pool, opts.grain, out.means);
       detail::solve_checkpoint();

@@ -6,13 +6,14 @@
 /// PR 2 made each backend's per-step loop allocation-free *when warm*, but a
 /// worker that solves every job with freshly constructed factor/scratch
 /// objects never gets warm: the `BidiagonalFactor` blocks, the associative
-/// scan elements and the odd-even S-block slots are rebuilt from the heap on
-/// every job.  A SolverCache owns exactly that cross-job state.  The engine
-/// keeps one per pool worker (keyed off the worker's stable pool index, the
-/// same per-worker identity `par::ThreadPool::current_thread_in_pool` is
-/// built on), so repeated jobs scheduled onto a worker reuse storage sized
-/// to the high-water job and — together with the worker's `la::Workspace`
-/// arena — touch zero heap once warm.  Observable through
+/// scan elements, the odd-even level slabs and S-block slots are rebuilt
+/// from the heap on every job.  A SolverCache owns exactly that cross-job
+/// state.  The engine keeps one per pool worker (keyed off the worker's
+/// stable pool index, the same per-worker identity
+/// `par::ThreadPool::current_thread_in_pool` is built on), so repeated jobs
+/// scheduled onto a worker reuse storage sized to the high-water job and —
+/// together with the worker's `la::Workspace` arena — touch zero heap once
+/// warm.  Observable through
 /// `JobMetrics::allocations` and `JobMetrics::workspace_high_water_bytes`.
 ///
 /// A cache is not thread-safe; it must only ever be used by the one worker
@@ -48,8 +49,9 @@ struct SolverCache {
   /// Householder tau scratch for jobs that run QR compression against the
   /// cached factor (session splices on the snapshot-isolated large path).
   la::QrScratch qr;
-  /// Odd-even factor storage for large session re-smooths built from the
-  /// spliced bidiagonal prefix (level vectors reuse capacity across jobs).
+  /// Odd-even factor of the OddEven backend and of large session re-smooths
+  /// (built from the spliced bidiagonal prefix): its level slabs and
+  /// reduction storage reuse their capacity across jobs.
   kalman::OddEvenFactor oddeven_factor;
   /// Session affinity of `factor` for the snapshot-isolated large re-smooth
   /// path: when this worker re-serves the same session in the same reset
@@ -73,10 +75,10 @@ struct SolverCache {
 /// has warm-capable storage through `cache` and write the result into `out`
 /// capacity-reusing.  With a warm cache, warm `out` storage of matching
 /// shape and a warm per-thread workspace, a repeat solve performs zero heap
-/// allocations end to end for the QR-family backends (Paige-Saunders
-/// entirely; odd-even's covariance replay and back substitution — its
-/// factorization still builds per-level state).  The dense-reference and
-/// RTS backends have no warm path and simply move their result into `out`.
+/// allocations end to end for the QR-family backends (Paige-Saunders and
+/// odd-even: factorization, back substitution and SelInv).  The
+/// dense-reference and RTS backends have no warm path and simply move their
+/// result into `out`.
 void solve_with_into(Backend b, const Problem& p, const std::optional<GaussianPrior>& prior,
                      par::ThreadPool& pool, const SolveOptions& opts, SolverCache& cache,
                      SmootherResult& out);

@@ -240,6 +240,56 @@ TEST(AllocFree, OddEvenSolveAndCovariancesWithWarmScratch) {
   test::expect_covs_near(cov, oddeven_covariances(f, pool), 0.0, "warm oddeven cov vs fresh");
 }
 
+TEST(AllocFree, OddEvenFactorRefillsWarmFactor) {
+  // Both factorization entry points refill a warm factor in place: its level
+  // slabs, row descriptors and reduction storage reuse their capacity.  One
+  // factor serves both, as the engine's per-worker cache does (OddEven
+  // backend jobs and large session re-smooths).
+  Rng rng(0xA110C + 14);
+  CommonProblem cp = test::common_problem(rng, 4, 70, /*dense_cov=*/true);
+  const BidiagonalFactor b = paige_saunders_factor(cp.for_qr);
+  par::ThreadPool pool(1);  // serial: every allocation lands on this thread
+
+  OddEvenFactor f;
+  oddeven_factor_into(cp.for_qr, pool, par::default_grain, f);  // warmup
+  oddeven_factor_from_bidiagonal_into(b, pool, par::default_grain, f);
+  settle_workspace();
+
+  std::uint64_t before = aligned_alloc_count();
+  oddeven_factor_into(cp.for_qr, pool, par::default_grain, f);
+  EXPECT_EQ(aligned_alloc_count() - before, 0u)
+      << "a warm refill from a problem must not touch the heap";
+  test::expect_means_near(oddeven_solve(f, pool),
+                          oddeven_solve(oddeven_factor(cp.for_qr, pool), pool), 0.0,
+                          "warm refill vs fresh factor");
+
+  before = aligned_alloc_count();
+  oddeven_factor_from_bidiagonal_into(b, pool, par::default_grain, f);
+  EXPECT_EQ(aligned_alloc_count() - before, 0u)
+      << "a warm refill from a bidiagonal factor must not touch the heap";
+  test::expect_means_near(oddeven_solve(f, pool),
+                          oddeven_solve(oddeven_factor_from_bidiagonal(b, pool), pool), 0.0,
+                          "warm bidiagonal refill vs fresh factor");
+}
+
+TEST(AllocFree, ColdOddEvenFactorAllocatesPerRoleNotPerState) {
+  // A cold factor draws each storage role once (row blocks, row descriptors,
+  // columns, even positions, leftover and column slabs by level parity), so
+  // its allocation count is bounded by the level count, not by k.
+  Rng rng(0xA110C + 15);
+  CommonProblem small = test::common_problem(rng, 3, 16);
+  CommonProblem cp = test::common_problem(rng, 3, 4096);
+  par::ThreadPool pool(1);
+  (void)oddeven_factor(small.for_qr, pool);  // size this thread's arena for n=3
+  settle_workspace();
+
+  const std::uint64_t before = aligned_alloc_count();
+  const OddEvenFactor f = oddeven_factor(cp.for_qr, pool);
+  const std::uint64_t allocs = aligned_alloc_count() - before;
+  EXPECT_LE(allocs, f.levels.size())
+      << "a cold k=4096 factor must not allocate per state or per block";
+}
+
 TEST(AllocFree, EngineBatchedJobsOnWarmWorker) {
   // The end-to-end criterion: N small same-shaped jobs through a warm engine
   // worker, solved into warm caller storage, perform ZERO matrix-buffer heap
@@ -291,6 +341,35 @@ TEST(AllocFree, EngineBatchedJobsOnWarmWorker) {
     test::expect_covs_near(storage[static_cast<std::size_t>(j)].covariances,
                            plain.result.covariances, 0.0, "into vs value covs");
   }
+}
+
+TEST(AllocFree, EngineOddEvenJobOnWarmWorker) {
+  // The OddEven backend serves from the worker's cached factor: a warm job
+  // refills the factor, its S-block slots and the caller storage in place.
+  Rng rng(0xA110C + 16);
+  CommonProblem cp = test::common_problem(rng, 4, 300, /*dense_cov=*/true);
+
+  engine::SmootherEngine eng({.threads = 1});
+  kalman::Problem first = cp.for_qr;
+  kalman::Problem second = cp.for_qr;
+  kalman::SmootherResult storage;
+  engine::JobOptions jo;
+  jo.backend = engine::Backend::OddEven;
+  jo.into = &storage;
+  (void)eng.submit(std::move(first), jo).get();  // warmup
+  settle_workspace();
+
+  const std::uint64_t before = aligned_alloc_count();
+  engine::JobResult jr = eng.submit(std::move(second), jo).get();
+  EXPECT_EQ(aligned_alloc_count() - before, 0u)
+      << "a warm engine worker must serve an odd-even job without heap traffic";
+  EXPECT_EQ(jr.metrics.allocations, 0u) << "per-job metric must agree";
+  EXPECT_EQ(jr.metrics.backend, engine::Backend::OddEven);
+
+  par::ThreadPool pool(1);
+  const SmootherResult ref = oddeven_smooth(cp.for_qr, pool);
+  test::expect_means_near(storage.means, ref.means, 0.0, "warm job vs fresh smooth");
+  test::expect_covs_near(storage.covariances, ref.covariances, 0.0, "warm job vs fresh smooth");
 }
 
 TEST(AllocFree, SessionIncrementalResmoothOnWarmCache) {

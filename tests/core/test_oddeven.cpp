@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/paige_saunders.hpp"
 #include "core/selinv.hpp"
 #include "kalman/dense_reference.hpp"
@@ -60,6 +62,21 @@ TEST_P(OddEvenFeatureTest, MeansMatchPaigeSaunders) {
   }
 }
 
+TEST_P(OddEvenFeatureTest, CovariancesMatchPaigeSaunders) {
+  // Algorithm 2 against the sequential SelInv for every feature case: the
+  // level slabs hold rows of every shape these problems produce (empty and
+  // tall local blocks, varying and rectangular neighbor blocks).
+  Rng rng(305);
+  par::ThreadPool pool(4);
+  for (int rep = 0; rep < 3; ++rep) {
+    Problem p = test::random_problem(rng, GetParam().spec);
+    SmootherResult oe = oddeven_smooth(p, pool, {.compute_covariance = true, .grain = 1});
+    SmootherResult ps = paige_saunders_smooth(p, {.compute_covariance = true});
+    test::expect_covs_near(oe.covariances, ps.covariances, 1e-7,
+                           std::string(GetParam().name) + " rep " + std::to_string(rep));
+  }
+}
+
 OeCase oe_cases[] = {
     {"plain", {.k = 24, .n_min = 3, .n_max = 3}},
     {"missing_obs", {.k = 31, .n_min = 2, .n_max = 2, .obs_probability = 0.35}},
@@ -103,9 +120,9 @@ TEST(OddEven, RFactorGramMatchesNormalEquations) {
   // is row-order independent.
   for (const auto& lev : f.levels) {
     for (const auto& r : lev.rows) {
-      rfull.block(row, off(r.col), n, n).assign(r.R.view());
-      if (r.left >= 0) rfull.block(row, off(r.left), n, n).assign(r.Eblk.view());
-      if (r.right >= 0) rfull.block(row, off(r.right), n, n).assign(r.Yblk.view());
+      rfull.block(row, off(r.col), n, n).assign(r.R);
+      if (r.left >= 0) rfull.block(row, off(r.left), n, n).assign(r.Eblk);
+      if (r.right >= 0) rfull.block(row, off(r.right), n, n).assign(r.Yblk);
       row += n;
     }
   }
@@ -250,6 +267,74 @@ TEST(OddEven, FactorFromBidiagonalMatchesSequentialSolve) {
     test::expect_means_near(oe_means, ps_means, 1e-10, "k=" + std::to_string(k));
     test::expect_covs_near(oe_covs, ps_covs, 1e-10, "k=" + std::to_string(k));
   }
+
+  // Varying state dimensions (1-5) and one wide state (n=48): the reduced
+  // levels' blocks take every neighbor shape.
+  struct Dims {
+    index k, n_min, n_max;
+  };
+  for (const Dims d : {Dims{1, 1, 5}, Dims{7, 1, 5}, Dims{64, 1, 5}, Dims{150, 1, 5},
+                       Dims{20, 48, 48}}) {
+    test::RandomProblemSpec spec;
+    spec.k = d.k;
+    spec.n_min = d.n_min;
+    spec.n_max = d.n_max;
+    spec.varying_dims = d.n_min != d.n_max;
+    spec.obs_probability = 0.8;
+    Problem p = test::random_problem(rng, spec);
+
+    BidiagonalFactor b = paige_saunders_factor(p);
+    std::vector<Vector> ps_means;
+    paige_saunders_solve_into(b, ps_means);
+    std::vector<Matrix> ps_covs = selinv_bidiagonal(b);
+
+    OddEvenFactor f = oddeven_factor_from_bidiagonal(b, pool, 2);
+    const std::string what = "k=" + std::to_string(d.k) + " n=" + std::to_string(d.n_min) + ".." +
+                             std::to_string(d.n_max);
+    test::expect_means_near(oddeven_solve(f, pool, 2), ps_means, 1e-10, what);
+    test::expect_covs_near(oddeven_covariances(f, pool, 2), ps_covs, 1e-10, what);
+  }
+}
+
+TEST(OddEven, MovedFactorsSolveIdentically) {
+  // A factor's rows view slabs the factor owns, so it is move-only: a move
+  // carries the slabs along, and a warm factor moved over releases its own.
+  static_assert(!std::is_copy_constructible_v<OddEvenFactor>);
+  static_assert(!std::is_copy_assignable_v<OddEvenFactor>);
+  Rng rng(343);
+  test::RandomProblemSpec spec;
+  spec.k = 37;
+  spec.n_min = 2;
+  spec.n_max = 4;
+  spec.varying_dims = true;
+  spec.obs_probability = 0.7;
+  Problem p = test::random_problem(rng, spec);
+  spec.k = 90;
+  Problem other = test::random_problem(rng, spec);
+  par::ThreadPool pool(4);
+
+  const OddEvenFactor ref = oddeven_factor(p, pool, 3);
+  const std::vector<Vector> means = oddeven_solve(ref, pool, 3);
+  const std::vector<Matrix> covs = oddeven_covariances(ref, pool, 3);
+
+  OddEvenFactor source = oddeven_factor(p, pool, 3);
+  OddEvenFactor moved(std::move(source));
+  test::expect_means_near(oddeven_solve(moved, pool, 3), means, 0.0, "move-constructed");
+  test::expect_covs_near(oddeven_covariances(moved, pool, 3), covs, 0.0, "move-constructed");
+
+  OddEvenFactor warm = oddeven_factor(other, pool, 3);
+  warm = std::move(moved);
+  test::expect_means_near(oddeven_solve(warm, pool, 3), means, 0.0, "move-assigned");
+  test::expect_covs_near(oddeven_covariances(warm, pool, 3), covs, 0.0, "move-assigned");
+
+  // A moved-from factor is refillable, and a warm refill of a differently
+  // shaped factor is bit-for-bit a fresh one.
+  oddeven_factor_into(p, pool, 3, source);
+  test::expect_means_near(oddeven_solve(source, pool, 3), means, 0.0, "refilled moved-from");
+  oddeven_factor_into(other, pool, 3, warm);
+  oddeven_factor_into(p, pool, 3, warm);
+  test::expect_means_near(oddeven_solve(warm, pool, 3), means, 0.0, "warm refill");
+  test::expect_covs_near(oddeven_covariances(warm, pool, 3), covs, 0.0, "warm refill");
 }
 
 TEST(OddEven, FactorFromBidiagonalValidatesShapes) {
