@@ -1,7 +1,9 @@
 /// \file kernel_microbench.cpp
 /// Microbenchmarks of the la/ kernel layer: packed/blocked GEMM against the
 /// naive reference, the small-dimension dispatch against the packed path on
-/// Kalman-sized operands, and the blocked triangular kernels.  Emits
+/// Kalman-sized operands, the blocked triangular kernels, and the
+/// unblocked against the compact-WY blocked Householder QR on the odd-even
+/// smoother's panel shapes.  Emits
 /// BENCH_kernels.json through the shared JSON harness; this file is the
 /// measured basis for the engine's flops calibration and the repo's perf
 /// trajectory.
@@ -18,6 +20,7 @@
 #include "bench_json.hpp"
 #include "la/blas.hpp"
 #include "la/blas_ref.hpp"
+#include "la/qr.hpp"
 #include "la/random.hpp"
 #include "la/workspace.hpp"
 
@@ -137,6 +140,66 @@ void bench_triangular(JsonBench& out, int reps) {
               bench::percentile(syrk, 0.5) * 1e6);
 }
 
+/// One odd-even QR stage at state dimension n: a rows x n panel factored
+/// with Q^T applied to `attached` columns (Section 3's 2-block-row step).
+struct QrStage {
+  const char* name;
+  index rows;
+  index attached;
+};
+
+/// Factor + Q^T of each stage, through both QR code paths.  Returns the
+/// worst blocked-over-unblocked speedup among the stages when n is at or
+/// above the crossover, else the best one.
+double bench_qr_stages(JsonBench& out, int reps, index n) {
+  // Phase A: [C; E] (2n x n) with [0 D | rhs] attached; Phase B: [D; R~]
+  // (2n x n) with [E 0; 0 X | rhs]; Phase C: the odd column's 3n stacked
+  // rows with its right-hand side.
+  const QrStage stages[] = {{"phaseA", 2 * n, n + 1}, {"phaseB", 2 * n, 2 * n + 1},
+                            {"phaseC", 3 * n, 1}};
+  const bool above = n >= la::detail::qr_blocked_min_cols;
+  double summary = above ? 1e9 : 0.0;
+  for (const QrStage& st : stages) {
+    la::Rng rng(0x9E3 + static_cast<std::uint64_t>(n * 7 + st.rows));
+    const Matrix a0 = la::random_gaussian(rng, st.rows, n);
+    const Matrix b0 = la::random_gaussian(rng, st.rows, st.attached);
+    Matrix a = a0;
+    Matrix b = b0;
+    std::vector<double> tau(static_cast<std::size_t>(n));
+    const double m = static_cast<double>(st.rows);
+    const double nd = static_cast<double>(n);
+    const double flops = 2.0 * m * nd * nd - 2.0 * nd * nd * nd / 3.0 +
+                         (4.0 * m * nd - 2.0 * nd * nd) * static_cast<double>(st.attached);
+    const long iters = iters_for_flops(flops);
+    double med[2] = {0.0, 0.0};
+    for (int blocked = 0; blocked < 2; ++blocked) {
+      auto t = run_reps(reps, iters, [&] {
+        a.view().assign(a0.view());
+        b.view().assign(b0.view());
+        if (blocked)
+          la::detail::qr_factor_blocked(a.view(), tau, b.view());
+        else
+          la::detail::qr_factor_unblocked(a.view(), tau, b.view());
+        g_checksum += a(0, 0) + b(0, 0);
+      });
+      med[blocked] = bench::percentile(t, 0.5);
+      char name[64];
+      std::snprintf(name, sizeof name, "qr_%s_n%lld_%s", st.name, static_cast<long long>(n),
+                    blocked ? "blocked" : "unblocked");
+      out.record(name, t, {{"n", nd}, {"rows", m}, {"attached", static_cast<double>(st.attached)},
+                           {"flops", flops}, {"gflops", flops / med[blocked] * 1e-9}});
+    }
+    const double speedup = med[0] / med[1];
+    summary = above ? std::min(summary, speedup) : std::max(summary, speedup);
+    std::printf("  n=%2lld %s %3lldx%-2lld +%3lld cols  unblocked %6.2f  blocked %6.2f GFLOP/s  "
+                "(%.2fx)\n",
+                static_cast<long long>(n), st.name, static_cast<long long>(st.rows),
+                static_cast<long long>(n), static_cast<long long>(st.attached),
+                flops / med[0] * 1e-9, flops / med[1] * 1e-9, speedup);
+  }
+  return summary;
+}
+
 void print_check(const char* what, bool ok) {
   std::printf("  [%s] %s\n", ok ? "OK " : "???", what);
 }
@@ -161,12 +224,26 @@ int main() {
   std::printf("blocked triangular kernels:\n");
   bench_triangular(out, reps);
 
+  std::printf("Householder QR + Q^T on attached columns (odd-even stage shapes):\n");
+  // n = 16 sits below the crossover: blocking roughly breaks even there, and
+  // its 16 columns are also the width of the n = 8 Paige-Saunders and filter
+  // panels (24 x 16 with one attached column), which must stay unblocked.
+  const double qr_best_n6 = bench_qr_stages(out, reps, 6);
+  (void)bench_qr_stages(out, reps, 16);
+  const double qr_worst_24 = bench_qr_stages(out, reps, 24);
+  const double qr_worst_above = std::min(qr_worst_24, bench_qr_stages(out, reps, 48));
+
   std::printf("shape checks (informational, not a gate):\n");
   print_check("packed GEMM >= 2x naive at n = 64", packed_vs_naive_64 >= 2.0);
   std::printf("        (measured %.2fx)\n", packed_vs_naive_64);
   print_check("small-dim dispatch beats packed for every n <= 8",
               small_vs_packed_worst > 1.0);
   std::printf("        (worst small-vs-packed speedup %.2fx)\n", small_vs_packed_worst);
+  print_check("blocked QR beats unblocked at every stage shape from the crossover",
+              qr_worst_above > 1.0);
+  std::printf("        (worst blocked-vs-unblocked speedup %.2fx)\n", qr_worst_above);
+  print_check("unblocked QR wins at n = 6", qr_best_n6 < 1.0);
+  std::printf("        (best blocked-vs-unblocked speedup %.2fx)\n", qr_best_n6);
 
   out.record("meta_checksum", {0.0}, {{"checksum", g_checksum}});
   if (!out.write()) return 1;

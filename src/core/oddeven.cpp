@@ -628,36 +628,58 @@ namespace {
 void copy_cross_into(const std::vector<OddEvenCovScratch::Slot>& cov, index a, index b,
                      MatrixView dst) {
   const OddEvenCovScratch::Slot& ca = cov[static_cast<std::size_t>(a)];
-  if (ca.row != nullptr && ca.row->right == b) {
-    dst.assign(ca.s_right.view());
+  if (ca.row->right == b) {
+    dst.assign(ca.s_right);
     return;
   }
   const OddEvenCovScratch::Slot& cb = cov[static_cast<std::size_t>(b)];
-  assert(cb.row != nullptr && cb.row->left == a);
+  assert(cb.row->left == a);
   for (index j = 0; j < dst.cols(); ++j)
     for (index i = 0; i < dst.rows(); ++i) dst(i, j) = cb.s_left(j, i);
 }
 
-/// Algorithm 2 proper: replay the levels bottom-up, leaving every state's
-/// diagonal (and cross) S-blocks in `scratch`.  All transients are
-/// per-thread workspace borrows; scratch blocks reuse their capacity.
-void oddeven_cov_pass(const OddEvenFactor& f, par::ThreadPool& pool, index grain,
-                      OddEvenCovScratch& scratch) {
+}  // namespace
+
+/// Algorithm 2 proper: replay the levels bottom-up, writing every state's
+/// diagonal S-block into `out` and its cross blocks into the scratch slab.
+/// All transients are per-thread workspace borrows; `out` blocks reuse
+/// their capacity.
+void oddeven_covariances_into(const OddEvenFactor& f, par::ThreadPool& pool, index grain,
+                              OddEvenCovScratch& scratch, std::vector<Matrix>& out) {
   auto& cov = scratch.slots;
   cov.resize(static_cast<std::size_t>(f.num_states()));
-  // Row pointers from a previous pass dangle into a dead factor; clear them
-  // so copy_cross_into never consults stale adjacency.
-  for (auto& slot : cov) slot.row = nullptr;
+  out.resize(static_cast<std::size_t>(f.num_states()));
+  // Place the cross blocks in replay order, so each level's pass fills one
+  // contiguous region.  Each state is the diagonal of exactly one row, so
+  // this also replaces every slot's row pointer from a previous pass.
+  auto cross_doubles = [](const OddEvenRow& row) {
+    return line_round(row.R.rows() * (row.Eblk.cols() + row.Yblk.cols()));
+  };
+  index total = 0;
+  for (const OddEvenLevel& level : f.levels)
+    for (const OddEvenRow& row : level.rows) total += cross_doubles(row);
+  double* next = la::refill(scratch.cross, static_cast<std::size_t>(total));
+  for (auto lev = f.levels.rbegin(); lev != f.levels.rend(); ++lev) {
+    for (const OddEvenRow& row : lev->rows) {
+      const index n = row.R.rows();
+      OddEvenCovScratch::Slot& slot = cov[static_cast<std::size_t>(row.col)];
+      slot.row = &row;
+      slot.s_left = MatrixView(next, n, row.Eblk.cols(), n);
+      slot.s_right = MatrixView(next + n * row.Eblk.cols(), n, row.Yblk.cols(), n);
+      next += cross_doubles(row);
+    }
+  }
+
   for (index lev = static_cast<index>(f.levels.size()) - 1; lev >= 0; --lev) {
     const auto& rows = f.levels[static_cast<std::size_t>(lev)].rows;
     par::parallel_for(pool, 0, static_cast<index>(rows.size()), grain, [&](index ri) {
       const OddEvenRow& row = rows[static_cast<std::size_t>(ri)];
-      OddEvenCovScratch::Slot& slot = cov[static_cast<std::size_t>(row.col)];
-      slot.row = &row;
+      const OddEvenCovScratch::Slot& slot = cov[static_cast<std::size_t>(row.col)];
       const index n = row.R.rows();
       la::Workspace::Scope scope(la::tls_workspace());
-      slot.diag.resize(n, n);
-      tri_inv_gram_into(row.R, slot.diag.view(), scope);  // R^{-1} R^{-T} source term
+      Matrix& diag = out[static_cast<std::size_t>(row.col)];
+      diag.resize(n, n);
+      tri_inv_gram_into(row.R, diag.view(), scope);  // R^{-1} R^{-T} source term
       const bool hl = row.left >= 0;
       const bool hr = row.right >= 0;
       MatrixView wl;
@@ -680,48 +702,30 @@ void oddeven_cov_pass(const OddEvenFactor& f, par::ThreadPool& pool, index grain
       }
       // S_{j,I} = -W S_{I,I} with I = {left, right} (either may be absent).
       if (hl) {
-        slot.s_left.resize(wl.rows(), wl.cols());
-        la::gemm(-1.0, wl, Trans::No, cov[static_cast<std::size_t>(row.left)].diag.view(),
-                 Trans::No, 0.0, slot.s_left.view());
+        la::gemm(-1.0, wl, Trans::No, out[static_cast<std::size_t>(row.left)].view(),
+                 Trans::No, 0.0, slot.s_left);
         // minus W_r * S_{right,left} = minus W_r * S_{left,right}^T.
-        if (hr) la::gemm(-1.0, wr, Trans::No, slr, Trans::Yes, 1.0, slot.s_left.view());
+        if (hr) la::gemm(-1.0, wr, Trans::No, slr, Trans::Yes, 1.0, slot.s_left);
       }
       if (hr) {
-        slot.s_right.resize(wr.rows(), wr.cols());
-        la::gemm(-1.0, wr, Trans::No, cov[static_cast<std::size_t>(row.right)].diag.view(),
-                 Trans::No, 0.0, slot.s_right.view());
-        if (hl) la::gemm(-1.0, wl, Trans::No, slr, Trans::No, 1.0, slot.s_right.view());
+        la::gemm(-1.0, wr, Trans::No, out[static_cast<std::size_t>(row.right)].view(),
+                 Trans::No, 0.0, slot.s_right);
+        if (hl) la::gemm(-1.0, wl, Trans::No, slr, Trans::No, 1.0, slot.s_right);
       }
       // S_jj = R^{-1}R^{-T} - S_{j,I} W^T.
-      if (hl)
-        la::gemm(-1.0, slot.s_left.view(), Trans::No, wl, Trans::Yes, 1.0, slot.diag.view());
-      if (hr)
-        la::gemm(-1.0, slot.s_right.view(), Trans::No, wr, Trans::Yes, 1.0, slot.diag.view());
-      la::symmetrize(slot.diag.view());
+      if (hl) la::gemm(-1.0, slot.s_left, Trans::No, wl, Trans::Yes, 1.0, diag.view());
+      if (hr) la::gemm(-1.0, slot.s_right, Trans::No, wr, Trans::Yes, 1.0, diag.view());
+      la::symmetrize(diag.view());
     });
   }
 }
 
-}  // namespace
-
 std::vector<Matrix> oddeven_covariances(const OddEvenFactor& f, par::ThreadPool& pool,
                                         index grain) {
   OddEvenCovScratch scratch;
-  oddeven_cov_pass(f, pool, grain, scratch);
-  std::vector<Matrix> out(static_cast<std::size_t>(f.num_states()));
-  for (index i = 0; i < f.num_states(); ++i)
-    out[static_cast<std::size_t>(i)] = std::move(scratch.slots[static_cast<std::size_t>(i)].diag);
+  std::vector<Matrix> out;
+  oddeven_covariances_into(f, pool, grain, scratch, out);
   return out;
-}
-
-void oddeven_covariances_into(const OddEvenFactor& f, par::ThreadPool& pool, index grain,
-                              OddEvenCovScratch& scratch, std::vector<Matrix>& out) {
-  oddeven_cov_pass(f, pool, grain, scratch);
-  out.resize(static_cast<std::size_t>(f.num_states()));
-  // Copy (not move) so the scratch keeps its warm capacity for the next job.
-  for (index i = 0; i < f.num_states(); ++i)
-    out[static_cast<std::size_t>(i)].assign_from(
-        scratch.slots[static_cast<std::size_t>(i)].diag.view());
 }
 
 SmootherResult oddeven_smooth(const Problem& p, par::ThreadPool& pool,

@@ -23,6 +23,7 @@
 
 #include "core/paige_saunders.hpp"
 #include "kalman/model.hpp"
+#include "la/slab.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -101,21 +102,30 @@ class OddEvenFactor {
   std::unique_ptr<Storage> storage_;
 };
 
-/// Reusable per-state S-block storage for the odd-even SelInv replay
-/// (Algorithm 2).  The diagonal and cross blocks of every state live here
-/// across the level loop; keeping one scratch warm across covariance passes
-/// lets a repeat pass over a same-shaped factor run with zero heap
-/// allocations (blocks reuse their capacity, transients are per-thread
-/// la::Workspace borrows).  One scratch per concurrent solve — never share
-/// across jobs in flight.
+/// Reusable S-block storage for the odd-even SelInv replay (Algorithm 2).
+/// The diagonal blocks S_{col,col} are the result and live in the caller's
+/// output matrices; the cross blocks of every row live back to back in one
+/// slab, placed by a serial prefix sum over the factor's row shapes before
+/// the replay, so the workers allocate nothing for them.  Keeping one
+/// scratch warm across covariance passes lets a repeat pass over a
+/// same-shaped factor run with zero heap allocations (transients are
+/// per-thread la::Workspace borrows).  One scratch per concurrent solve —
+/// never share across jobs in flight.  Move-only: the slots view the
+/// scratch's own slab.
 struct OddEvenCovScratch {
   struct Slot {
     const OddEvenRow* row = nullptr;  ///< the R row whose diagonal is this state
-    Matrix diag;                      ///< S_{col,col}
-    Matrix s_left;                    ///< S_{col,left}
-    Matrix s_right;                   ///< S_{col,right}
+    la::MatrixView s_left;            ///< S_{col,left}
+    la::MatrixView s_right;           ///< S_{col,right}
   };
   std::vector<Slot> slots;
+  la::SlabVector<double> cross;  ///< every slot's s_left and s_right
+
+  OddEvenCovScratch() = default;
+  OddEvenCovScratch(OddEvenCovScratch&&) noexcept = default;
+  OddEvenCovScratch& operator=(OddEvenCovScratch&&) noexcept = default;
+  OddEvenCovScratch(const OddEvenCovScratch&) = delete;
+  OddEvenCovScratch& operator=(const OddEvenCovScratch&) = delete;
 };
 
 /// Factor the problem (parallel across block columns within each level)

@@ -5,6 +5,7 @@
 
 #include "la/blas.hpp"
 #include "la/triangular.hpp"
+#include "la/workspace.hpp"
 
 namespace pitk::la {
 
@@ -43,9 +44,9 @@ inline void apply_reflector(std::span<const double> v, double tau, index row0, M
   }
 }
 
-}  // namespace
-
-void qr_factor(MatrixView a, std::span<double> tau) {
+/// Unblocked factorization: one reflector at a time over the trailing
+/// columns of `a`.
+void factor_unblocked(MatrixView a, std::span<double> tau) {
   const index r = a.rows();
   const index c = a.cols();
   const index k = std::min(r, c);
@@ -62,11 +63,8 @@ void qr_factor(MatrixView a, std::span<double> tau) {
   }
 }
 
-void qr_apply_qt(ConstMatrixView a, std::span<const double> tau, MatrixView b) {
-  assert(b.rows() == a.rows());
-  if (b.cols() == 0) return;
+void apply_qt_unblocked(ConstMatrixView a, std::span<const double> tau, MatrixView b) {
   const index k = std::min(a.rows(), a.cols());
-  assert(static_cast<index>(tau.size()) >= k);
   // Q = H_0 H_1 ... H_{k-1}, so Q^T = H_{k-1} ... H_0 but each H_j is
   // symmetric; applying in ascending order yields Q^T b.
   for (index j = 0; j < k; ++j) {
@@ -74,6 +72,138 @@ void qr_apply_qt(ConstMatrixView a, std::span<const double> tau, MatrixView b) {
                               static_cast<std::size_t>(a.rows() - j - 1));
     apply_reflector(v, tau[static_cast<std::size_t>(j)], j, b);
   }
+}
+
+bool use_blocked(ConstMatrixView a) {
+  return std::min(a.rows(), a.cols()) >= detail::qr_blocked_min_cols;
+}
+
+/// One panel's reflectors in compact-WY form: H_0 ... H_{jb-1} = I - V T V^T
+/// with V (m x jb) unit lower trapezoidal and T (jb x jb) upper triangular.
+/// V, T and the product scratch W are Workspace borrows sized at
+/// construction for the tallest panel and the widest operand.
+class WyPanel {
+ public:
+  WyPanel(Workspace::Scope& scope, index rows, index width)
+      : v_buf_(scope.raw(static_cast<std::size_t>(rows * detail::qr_block))),
+        t_buf_(scope.raw(static_cast<std::size_t>(detail::qr_block * detail::qr_block))),
+        w_buf_(scope.raw(static_cast<std::size_t>(detail::qr_block * width))) {}
+
+  /// Load the reflectors stored in `panel` (rows j0.. of jb factored
+  /// columns) with their `tau`, and form T (LAPACK dlarft, forward and
+  /// columnwise).
+  void load(ConstMatrixView panel, std::span<const double> tau) {
+    const index m = panel.rows();
+    const index jb = panel.cols();
+    v_ = MatrixView(v_buf_, m, jb, m);
+    t_ = MatrixView(t_buf_, jb, jb, jb);
+    for (index l = 0; l < jb; ++l) {
+      double* vl = v_.col_span(l).data();
+      const double* pl = panel.col_span(l).data();
+      std::fill(vl, vl + l, 0.0);
+      vl[l] = 1.0;
+      std::copy(pl + l + 1, pl + m, vl + l + 1);
+    }
+    // T starts as V^T V, whose strict upper triangle holds the products
+    // V(:, p)^T v_i; column i then becomes -tau_i T(0:i, 0:i) V(:, 0:i)^T v_i
+    // over the finished columns to its left.
+    gemm(1.0, v_, Trans::Yes, v_, Trans::No, 0.0, t_);
+    for (index i = 0; i < jb; ++i) {
+      const double ti = tau[static_cast<std::size_t>(i)];
+      double* tcol = t_.col_span(i).data();
+      std::fill(tcol + i + 1, tcol + jb, 0.0);
+      tcol[i] = ti;
+      if (ti == 0.0) {
+        // H_i = I: its column of T is zero whatever V holds (as in dlarft).
+        std::fill(tcol, tcol + i, 0.0);
+        continue;
+      }
+      for (index p = 0; p < i; ++p) {
+        double acc = 0.0;
+        for (index q = p; q < i; ++q) acc += t_(p, q) * tcol[q];
+        tcol[p] = -ti * acc;
+      }
+    }
+  }
+
+  /// C <- (I - V T V^T)^T C = C - V (T^T (V^T C)).  C has the panel's rows
+  /// and at most the width given at construction.
+  void apply_qt(MatrixView c) {
+    if (c.cols() == 0) return;
+    MatrixView w(w_buf_, v_.cols(), c.cols(), v_.cols());
+    gemm(1.0, v_, Trans::Yes, c, Trans::No, 0.0, w);
+    trmm_left(Uplo::Upper, Trans::Yes, Diag::NonUnit, 1.0, t_, w);
+    gemm(-1.0, v_, Trans::No, w, Trans::No, 1.0, c);
+  }
+
+ private:
+  double* v_buf_;
+  double* t_buf_;
+  double* w_buf_;
+  MatrixView v_;
+  MatrixView t_;
+};
+
+void apply_qt_blocked(ConstMatrixView a, std::span<const double> tau, MatrixView b) {
+  const index r = a.rows();
+  const index k = std::min(r, a.cols());
+  Workspace::Scope scope(tls_workspace());
+  WyPanel wy(scope, r, b.cols());
+  for (index j0 = 0; j0 < k; j0 += detail::qr_block) {
+    const index jb = std::min(detail::qr_block, k - j0);
+    wy.load(a.block(j0, j0, r - j0, jb), tau.subspan(static_cast<std::size_t>(j0)));
+    wy.apply_qt(b.block(j0, 0, r - j0, b.cols()));
+  }
+}
+
+}  // namespace
+
+namespace detail {
+
+void qr_factor_unblocked(MatrixView a, std::span<double> tau, MatrixView attached) {
+  factor_unblocked(a, tau);
+  if (!attached.empty()) apply_qt_unblocked(a, tau, attached);
+}
+
+void qr_factor_blocked(MatrixView a, std::span<double> tau, MatrixView attached) {
+  const index r = a.rows();
+  const index c = a.cols();
+  const index k = std::min(r, c);
+  assert(static_cast<index>(tau.size()) >= k);
+  assert(attached.cols() == 0 || attached.rows() == r);
+  Workspace::Scope scope(tls_workspace());
+  WyPanel wy(scope, r, std::max(c, attached.cols()));
+  for (index j0 = 0; j0 < k; j0 += qr_block) {
+    const index jb = std::min(qr_block, k - j0);
+    const index m = r - j0;
+    const MatrixView panel = a.block(j0, j0, m, jb);
+    const std::span<double> panel_tau = tau.subspan(static_cast<std::size_t>(j0));
+    factor_unblocked(panel, panel_tau);
+    const index trailing = c - j0 - jb;
+    if (trailing == 0 && attached.cols() == 0) continue;
+    wy.load(panel, panel_tau);
+    wy.apply_qt(a.block(j0, j0 + jb, m, trailing));
+    if (attached.cols() > 0) wy.apply_qt(attached.block(j0, 0, m, attached.cols()));
+  }
+}
+
+}  // namespace detail
+
+void qr_factor(MatrixView a, std::span<double> tau) {
+  if (use_blocked(a))
+    detail::qr_factor_blocked(a, tau);
+  else
+    factor_unblocked(a, tau);
+}
+
+void qr_apply_qt(ConstMatrixView a, std::span<const double> tau, MatrixView b) {
+  assert(b.rows() == a.rows());
+  if (b.cols() == 0) return;
+  assert(static_cast<index>(tau.size()) >= std::min(a.rows(), a.cols()));
+  if (use_blocked(a))
+    apply_qt_blocked(a, tau, b);
+  else
+    apply_qt_unblocked(a, tau, b);
 }
 
 void qr_apply_q(ConstMatrixView a, std::span<const double> tau, MatrixView b) {
@@ -121,8 +251,10 @@ void QrScratch::factor_apply(MatrixView m, MatrixView attached) {
   const std::size_t need = static_cast<std::size_t>(std::min(m.rows(), m.cols()));
   if (tau_.size() < need) tau_.resize(need);
   std::span<double> tau(tau_.data(), need);
-  qr_factor(m, tau);
-  if (!attached.empty()) qr_apply_qt(m, tau, attached);
+  if (use_blocked(m))
+    detail::qr_factor_blocked(m, tau, attached);
+  else
+    detail::qr_factor_unblocked(m, tau, attached);
 }
 
 }  // namespace pitk::la

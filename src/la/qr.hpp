@@ -10,6 +10,24 @@
 /// `tau`.  Q is never formed unless explicitly requested; the smoothers only
 /// ever apply Q^T to attached right-hand-side/coupled-block columns, which is
 /// the 2-block-row primitive of Section 3 of the paper.
+///
+/// Two code paths share that storage, chosen by the number of reflectors
+/// k = min(rows, cols):
+///
+/// - Below detail::qr_blocked_min_cols: the unblocked level-2 loop, one
+///   reflector at a time over every trailing and attached column.  Every
+///   panel a state dimension <= 8 produces (up to the 16-column
+///   Paige-Saunders and filter panels) takes this path, where the per-panel
+///   setup of the blocked path would cost more than it saves.
+/// - From there on: compact-WY blocked Householder (Schreiber & Van Loan
+///   1989; LAPACK dgeqrf/dlarft/dlarfb).  Each detail::qr_block-column panel
+///   is factored by the unblocked loop, its reflectors are accumulated as
+///   H_0 ... H_{nb-1} = I - V T V^T, and I - V T^T V^T is applied to the
+///   trailing and attached columns through the packed gemm and trmm_left.
+///   V, T and the product scratch are borrows from the thread's
+///   la::Workspace, so a warm call does not allocate.
+///
+/// Both paths produce the same factorization up to rounding.
 
 #include <span>
 
@@ -43,7 +61,9 @@ void qr_extract_r_square(ConstMatrixView a, MatrixView r);
 
 /// Reusable workspace + convenience wrapper around qr_factor/qr_apply_qt for
 /// the smoothers' hot loops: factors `m` and applies Q^T to `attached`
-/// without allocating when capacity suffices.
+/// without allocating when capacity suffices.  On the blocked path each
+/// panel's reflectors reach `attached` in the same gemm pass as the trailing
+/// columns, so T is formed once per panel.
 class QrScratch {
  public:
   /// Factor `m` in place and apply Q^T to `attached` (may be empty view).
@@ -52,5 +72,20 @@ class QrScratch {
  private:
   std::vector<double> tau_;
 };
+
+namespace detail {
+/// Panel width nb of the blocked path.
+inline constexpr index qr_block = 8;
+/// Reflector count k = min(rows, cols) from which qr_factor, qr_apply_qt
+/// and QrScratch::factor_apply take the blocked path (picked from the
+/// qr_* series of bench/kernel_microbench).
+inline constexpr index qr_blocked_min_cols = 24;
+
+/// Test/benchmark hooks: factor `a` in place and apply Q^T to `attached`
+/// (rows == a.rows(), or zero columns), forcing one code path regardless of
+/// the dispatch above.  Same storage contract as qr_factor.
+void qr_factor_unblocked(MatrixView a, std::span<double> tau, MatrixView attached = {});
+void qr_factor_blocked(MatrixView a, std::span<double> tau, MatrixView attached = {});
+}  // namespace detail
 
 }  // namespace pitk::la

@@ -38,9 +38,12 @@ using test::CommonProblem;
 /// charged for chunk growth triggered during warmup.
 void settle_workspace() { la::tls_workspace().reset(); }
 
-TEST(AllocFree, PaigeSaundersFactorAndSolveIntoWarmStorage) {
-  Rng rng(0xA110C);
-  CommonProblem cp = test::common_problem(rng, 5, 60, /*dense_cov=*/true);
+/// Warm Paige-Saunders factor + solve of an n-dimensional problem.  At
+/// n = 48 the sweep's 144 x 96 panels take the blocked QR path, whose V, T
+/// and product scratch are Workspace borrows.
+void expect_warm_paige_saunders_alloc_free(std::uint64_t seed, la::index n, la::index k) {
+  Rng rng(seed);
+  CommonProblem cp = test::common_problem(rng, n, k, /*dense_cov=*/true);
 
   BidiagonalFactor f;
   std::vector<Vector> u;
@@ -52,12 +55,17 @@ TEST(AllocFree, PaigeSaundersFactorAndSolveIntoWarmStorage) {
   paige_saunders_factor_into(cp.for_qr, f);
   paige_saunders_solve_into(f, u);
   EXPECT_EQ(aligned_alloc_count() - before, 0u)
-      << "warm Paige-Saunders sweep must not touch the heap";
+      << "warm Paige-Saunders sweep must not touch the heap (n=" << n << ")";
 
   // The warm pass must still produce the same factor/solution.
   BidiagonalFactor fresh = paige_saunders_factor(cp.for_qr);
   for (std::size_t i = 0; i < fresh.diag.size(); ++i)
     test::expect_near(f.diag[i].view(), fresh.diag[i].view(), 0.0, "warm refactor diag");
+}
+
+TEST(AllocFree, PaigeSaundersFactorAndSolveIntoWarmStorage) {
+  expect_warm_paige_saunders_alloc_free(0xA110C, 5, 60);
+  expect_warm_paige_saunders_alloc_free(0xA110C + 20, 48, 24);
 }
 
 /// Per-step streaming inputs for one track, built outside the measured
@@ -240,13 +248,14 @@ TEST(AllocFree, OddEvenSolveAndCovariancesWithWarmScratch) {
   test::expect_covs_near(cov, oddeven_covariances(f, pool), 0.0, "warm oddeven cov vs fresh");
 }
 
-TEST(AllocFree, OddEvenFactorRefillsWarmFactor) {
-  // Both factorization entry points refill a warm factor in place: its level
-  // slabs, row descriptors and reduction storage reuse their capacity.  One
-  // factor serves both, as the engine's per-worker cache does (OddEven
-  // backend jobs and large session re-smooths).
-  Rng rng(0xA110C + 14);
-  CommonProblem cp = test::common_problem(rng, 4, 70, /*dense_cov=*/true);
+/// Both factorization entry points refill a warm factor in place: its level
+/// slabs, row descriptors and reduction storage reuse their capacity.  One
+/// factor serves both, as the engine's per-worker cache does (OddEven
+/// backend jobs and large session re-smooths).  At n = 48 every Phase A, B
+/// and C panel takes the blocked QR path.
+void expect_warm_oddeven_refill_alloc_free(std::uint64_t seed, la::index n, la::index k) {
+  Rng rng(seed);
+  CommonProblem cp = test::common_problem(rng, n, k, /*dense_cov=*/true);
   const BidiagonalFactor b = paige_saunders_factor(cp.for_qr);
   par::ThreadPool pool(1);  // serial: every allocation lands on this thread
 
@@ -258,7 +267,7 @@ TEST(AllocFree, OddEvenFactorRefillsWarmFactor) {
   std::uint64_t before = aligned_alloc_count();
   oddeven_factor_into(cp.for_qr, pool, par::default_grain, f);
   EXPECT_EQ(aligned_alloc_count() - before, 0u)
-      << "a warm refill from a problem must not touch the heap";
+      << "a warm refill from a problem must not touch the heap (n=" << n << ")";
   test::expect_means_near(oddeven_solve(f, pool),
                           oddeven_solve(oddeven_factor(cp.for_qr, pool), pool), 0.0,
                           "warm refill vs fresh factor");
@@ -266,10 +275,35 @@ TEST(AllocFree, OddEvenFactorRefillsWarmFactor) {
   before = aligned_alloc_count();
   oddeven_factor_from_bidiagonal_into(b, pool, par::default_grain, f);
   EXPECT_EQ(aligned_alloc_count() - before, 0u)
-      << "a warm refill from a bidiagonal factor must not touch the heap";
+      << "a warm refill from a bidiagonal factor must not touch the heap (n=" << n << ")";
   test::expect_means_near(oddeven_solve(f, pool),
                           oddeven_solve(oddeven_factor_from_bidiagonal(b, pool), pool), 0.0,
                           "warm bidiagonal refill vs fresh factor");
+}
+
+TEST(AllocFree, OddEvenFactorRefillsWarmFactor) {
+  expect_warm_oddeven_refill_alloc_free(0xA110C + 14, 4, 70);
+  expect_warm_oddeven_refill_alloc_free(0xA110C + 21, 48, 40);
+}
+
+TEST(AllocFree, ColdCovarianceScratchAllocatesPerRoleNotPerState) {
+  // The replay's cross blocks live in one slab placed before the pass, and
+  // the diagonal blocks are the caller's output: over warm output storage, a
+  // cold scratch's only counted allocation is that slab, at any k (its slot
+  // array is a std::vector on the default allocator, which is not counted).
+  Rng rng(0xA110C + 22);
+  CommonProblem cp = test::common_problem(rng, 3, 2048);
+  par::ThreadPool pool(1);
+  const OddEvenFactor f = oddeven_factor(cp.for_qr, pool);
+  std::vector<Matrix> cov = oddeven_covariances(f, pool);  // warm output blocks
+  settle_workspace();
+
+  OddEvenCovScratch scratch;
+  const std::uint64_t before = aligned_alloc_count();
+  oddeven_covariances_into(f, pool, par::default_grain, scratch, cov);
+  EXPECT_EQ(aligned_alloc_count() - before, 1u)
+      << "a cold covariance scratch must not allocate per state";
+  test::expect_covs_near(cov, oddeven_covariances(f, pool), 0.0, "cold scratch vs fresh");
 }
 
 TEST(AllocFree, ColdOddEvenFactorAllocatesPerRoleNotPerState) {
