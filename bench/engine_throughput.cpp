@@ -167,7 +167,7 @@ bool bench_session_resmooth(bench::JsonBench& out, engine::SmootherEngine& eng,
 }
 
 /// The truncated-delta criterion (PR 10): a warm default session appending
-/// ONE step per re-smooth against an exact_resmooth() session riding the
+/// ONE step per re-smooth against an exact (tolerance 0) session riding the
 /// identical stream — the exact session pays the full spliced backward pass
 /// (the pre-truncation serving cost), the default session stops its delta
 /// propagation at the decay bound and rewrites only the truncation window.
@@ -177,7 +177,7 @@ bool bench_session_resmooth_delta(bench::JsonBench& out, engine::SmootherEngine&
                                   const kalman::Problem& track, index k0, int reps) {
   engine::Session del = eng.open_session(track.state_dim(0));
   engine::Session ex =
-      eng.open_session(track.state_dim(0), engine::SessionOptions{}.exact_resmooth());
+      eng.open_session(track.state_dim(0), engine::SessionOptions{}.resmooth_tolerance(0.0));
   for (engine::Session* s : {&del, &ex}) {
     if (track.step(0).observation) {
       const kalman::Observation& ob = *track.step(0).observation;
@@ -478,8 +478,10 @@ bool bench_session_recover(bench::JsonBench& out, engine::SmootherEngine& eng, i
   kalman::SmootherResult ref;
   std::uint64_t journal_bytes = 0;
   {
-    engine::Session live = eng.open_durable_session(journal_store, "bench", n);
-    engine::Session live_c = eng.open_durable_session(compact_store, "bench", n);
+    engine::Session live =
+        eng.open_session(n, engine::SessionOptions{}.durable(journal_store, "bench"));
+    engine::Session live_c =
+        eng.open_session(n, engine::SessionOptions{}.durable(compact_store, "bench"));
     for (engine::Session* s : {&live, &live_c}) {
       if (track.step(0).observation) {
         const kalman::Observation& ob = *track.step(0).observation;

@@ -359,6 +359,6 @@ int main() {
               {"shed_rate_standard", shed_std},
               {"shed_rate_besteffort", shed_be}});
 
-  out.write();
-  return ok ? 0 : 1;
+  const bool wrote = out.write();
+  return ok && wrote ? 0 : 1;
 }

@@ -76,7 +76,7 @@ int main() {
   seed.dims.resize(1);
   seed.obs.resize(1);
   engine::NonlinearSession session =
-      eng.open_nonlinear_session(seed, Vector({0.1, 0.0}), opts);
+      eng.open_session(seed, Vector({0.1, 0.0}), engine::SessionOptions{}.gauss_newton(opts.gn));
 
   std::printf("streaming tenant (re-smooth every 64 steps):\n");
   kalman::SmootherResult smoothed;

@@ -107,7 +107,8 @@ int main() {
   seed.k = 0;
   seed.dims.resize(1);
   seed.obs.resize(1);
-  engine::NonlinearSession nls = eng.open_nonlinear_session(seed, Vector({0.1, 0.0}), nopts);
+  engine::NonlinearSession nls =
+      eng.open_session(seed, Vector({0.1, 0.0}), engine::SessionOptions{}.gauss_newton(nopts.gn));
   kalman::SmootherResult nsmoothed;
   for (index i = 1; i <= k; ++i) {
     nls.advance(track.obs[static_cast<std::size_t>(i)]);

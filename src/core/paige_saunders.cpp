@@ -192,28 +192,22 @@ void back_substitute_state(const BidiagonalFactor& f, index i, index k, std::vec
 
 }  // namespace
 
-void paige_saunders_solve_into(const BidiagonalFactor& f, std::vector<Vector>& u) {
-  paige_saunders_solve_tail_into(f, 0, u);
-}
-
-void paige_saunders_solve_tail_into(const BidiagonalFactor& f, la::index from,
-                                    std::vector<Vector>& u) {
+TruncatedPass paige_saunders_solve_into(const BidiagonalFactor& f, std::vector<Vector>& u,
+                                        la::index from, std::span<const double> decay_amp,
+                                        double tol) {
   const index k = static_cast<index>(f.diag.size()) - 1;
   if (from < 0 || from > k)
-    throw std::invalid_argument("paige_saunders_solve_tail_into: from out of range");
-  u.resize(static_cast<std::size_t>(k + 1));
-  for (index i = k; i >= from; --i) back_substitute_state(f, i, k, u);
-}
-
-TruncatedPass paige_saunders_solve_delta_into(const BidiagonalFactor& f, la::index from,
-                                              std::span<const double> decay_amp, double tol,
-                                              std::vector<Vector>& u) {
-  const index k = static_cast<index>(f.diag.size()) - 1;
-  if (from < 1 || from > k)
-    throw std::invalid_argument("paige_saunders_solve_delta_into: from must be in [1, k]");
+    throw std::invalid_argument("paige_saunders_solve_into: from out of range");
+  if (!(tol >= 0.0)) throw std::invalid_argument("paige_saunders_solve_into: tol must be >= 0");
+  // tol == 0 neglects nothing: the exact sweep continues down to state 0.
+  if (from == 0 || tol == 0.0) {
+    u.resize(static_cast<std::size_t>(k + 1));
+    for (index i = k; i >= 0; --i) back_substitute_state(f, i, k, u);
+    return {};
+  }
   if (static_cast<index>(u.size()) <= from || static_cast<index>(decay_amp.size()) < from)
     throw std::invalid_argument(
-        "paige_saunders_solve_delta_into: previous solution / decay bounds too short");
+        "paige_saunders_solve_into: previous solution / decay bounds too short");
 
   la::Workspace::Scope scope(la::tls_workspace());
   index maxn = 0;
@@ -224,9 +218,10 @@ TruncatedPass paige_saunders_solve_delta_into(const BidiagonalFactor& f, la::ind
   // Seed: exact recompute of the tail, delta = new u[from] - old u[from].
   const index nf = f.diag[static_cast<std::size_t>(from)].rows();
   if (u[static_cast<std::size_t>(from)].size() != nf)
-    throw std::invalid_argument("paige_saunders_solve_delta_into: stale solution shape");
+    throw std::invalid_argument("paige_saunders_solve_into: stale solution shape");
   for (index q = 0; q < nf; ++q) cur[static_cast<std::size_t>(q)] = u[static_cast<std::size_t>(from)][q];
-  paige_saunders_solve_tail_into(f, from, u);
+  u.resize(static_cast<std::size_t>(k + 1));
+  for (index i = k; i >= from; --i) back_substitute_state(f, i, k, u);
   double dn = 0.0;
   for (index q = 0; q < nf; ++q) {
     const double v = u[static_cast<std::size_t>(from)][q] - cur[static_cast<std::size_t>(q)];
@@ -266,7 +261,7 @@ TruncatedPass paige_saunders_solve_delta_into(const BidiagonalFactor& f, la::ind
     }
     Vector& x = u[static_cast<std::size_t>(i)];
     if (x.size() != n)
-      throw std::invalid_argument("paige_saunders_solve_delta_into: stale solution shape");
+      throw std::invalid_argument("paige_saunders_solve_into: stale solution shape");
     double s2 = 0.0;
     for (index r = 0; r < n; ++r) {
       const double d = next[static_cast<std::size_t>(r)];

@@ -42,41 +42,37 @@ struct PaigeSaundersOptions {
 /// performs zero heap allocations in the per-step sweep.
 void paige_saunders_factor_into(const Problem& p, BidiagonalFactor& f);
 
-/// Back substitution on a bidiagonal factor.
+/// Back substitution on a bidiagonal factor (the full pass below).
 [[nodiscard]] std::vector<Vector> paige_saunders_solve(const BidiagonalFactor& f);
 
-/// Back substitution into caller-owned storage (capacity-reusing; the
-/// per-state loop is allocation-free once `u` is warm).
-void paige_saunders_solve_into(const BidiagonalFactor& f, std::vector<Vector>& u);
-
-/// Partial-range back substitution: recompute u[from..k] with arithmetic
-/// identical to paige_saunders_solve_into over that range, leaving the
-/// entries below `from` untouched.  `u` is resized to k+1 entries.
-void paige_saunders_solve_tail_into(const BidiagonalFactor& f, la::index from,
-                                    std::vector<Vector>& u);
-
-/// Outcome of a truncated delta pass (see paige_saunders_solve_delta_into).
+/// Outcome of a ranged pass (paige_saunders_solve_into, selinv_bidiagonal_into).
 struct TruncatedPass {
   la::index updated_from = 0;  ///< lowest state index rewritten by the pass
   bool truncated = false;      ///< the decay bound stopped the pass early
 };
 
-/// Truncated delta back substitution for streaming re-smooths.  `u` must hold
-/// the previous solution of a factor whose blocks below `from` are unchanged
-/// (the streaming invariant: the finalized prefix only appends).  The tail
-/// u[from..k] is recomputed exactly, then only the correction
-///   delta_i = -R_ii^{-1} R_{i,i+1} delta_{i+1}
-/// is propagated downward, stopping at the first i where
-///   decay_amp[i] * ||delta_{i+1}||_2 <= tol.
-/// decay_amp (IncrementalFilter::decay_amplification) bounds the
-/// amplification of a correction across every window of remaining blocks, so
-/// each state the pass skips is missing a correction of 2-norm at most tol.
-/// States below the stop point keep their previous values.  All transients
-/// are borrowed from the calling thread's la::Workspace (zero allocations
-/// once `u` is warm).
-TruncatedPass paige_saunders_solve_delta_into(const BidiagonalFactor& f, la::index from,
-                                              std::span<const double> decay_amp, double tol,
-                                              std::vector<Vector>& u);
+/// Ranged back substitution into caller-owned storage (capacity-reusing; all
+/// transients are borrowed from the calling thread's la::Workspace, so the
+/// pass is allocation-free once `u` is warm).  u[from..k] is recomputed
+/// exactly; what happens below `from` depends on `tol`:
+///  - tol == 0 (the default) neglects nothing: back substitution continues
+///    down to state 0, bit for bit the full pass whatever `from` is.
+///  - tol > 0 is the streaming re-smooth.  `u` must hold the previous
+///    solution of a factor whose blocks below `from` are unchanged (the
+///    finalized prefix only appends).  Only the correction
+///      delta_i = -R_ii^{-1} R_{i,i+1} delta_{i+1}
+///    is propagated downward, stopping at the first i where
+///      decay_amp[i] * ||delta_{i+1}||_2 <= tol.
+///    decay_amp (IncrementalFilter::decay_amplification, at least `from`
+///    entries) bounds the amplification of a correction across every window
+///    of remaining blocks, so each state the pass skips is missing a
+///    correction of 2-norm at most tol; it keeps its previous value.
+/// Throws std::invalid_argument when `from` is outside [0, k], tol is
+/// negative or NaN, or (tol > 0, from > 0) the seed or decay_amp is too short.
+TruncatedPass paige_saunders_solve_into(const BidiagonalFactor& f, std::vector<Vector>& u,
+                                        la::index from = 0,
+                                        std::span<const double> decay_amp = {},
+                                        double tol = 0.0);
 
 /// Full smoother: factor + solve (+ covariances unless disabled).
 [[nodiscard]] SmootherResult paige_saunders_smooth(const Problem& p,

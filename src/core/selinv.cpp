@@ -113,15 +113,10 @@ std::vector<Matrix> selinv_bidiagonal(const BidiagonalFactor& f) {
   return s;
 }
 
-void selinv_bidiagonal_into(const BidiagonalFactor& f, std::vector<Matrix>& s) {
-  selinv_bidiagonal_tail_into(f, 0, s);
-}
+namespace {
 
-void selinv_bidiagonal_tail_into(const BidiagonalFactor& f, la::index from,
-                                 std::vector<Matrix>& s) {
-  const index k = static_cast<index>(f.diag.size()) - 1;
-  if (from < 0 || from > k)
-    throw std::invalid_argument("selinv_bidiagonal_tail_into: from out of range");
+/// The exact recurrence over s[from..k], restarting at the last block.
+void selinv_range(const BidiagonalFactor& f, index from, index k, std::vector<Matrix>& s) {
   s.resize(static_cast<std::size_t>(k + 1));
   {
     const Matrix& rkk = f.diag[static_cast<std::size_t>(k)];
@@ -162,15 +157,23 @@ void selinv_bidiagonal_tail_into(const BidiagonalFactor& f, la::index from,
   }
 }
 
-TruncatedPass selinv_bidiagonal_delta_into(const BidiagonalFactor& f, la::index from,
-                                           std::span<const double> decay_amp, double tol,
-                                           std::vector<Matrix>& s) {
+}  // namespace
+
+TruncatedPass selinv_bidiagonal_into(const BidiagonalFactor& f, std::vector<Matrix>& s,
+                                     la::index from, std::span<const double> decay_amp,
+                                     double tol) {
   const index k = static_cast<index>(f.diag.size()) - 1;
-  if (from < 1 || from > k)
-    throw std::invalid_argument("selinv_bidiagonal_delta_into: from must be in [1, k]");
+  if (from < 0 || from > k)
+    throw std::invalid_argument("selinv_bidiagonal_into: from out of range");
+  if (!(tol >= 0.0)) throw std::invalid_argument("selinv_bidiagonal_into: tol must be >= 0");
+  // tol == 0 neglects nothing: the exact recurrence continues down to state 0.
+  if (from == 0 || tol == 0.0) {
+    selinv_range(f, 0, k, s);
+    return {};
+  }
   if (static_cast<index>(s.size()) <= from || static_cast<index>(decay_amp.size()) < from)
     throw std::invalid_argument(
-        "selinv_bidiagonal_delta_into: previous covariances / decay bounds too short");
+        "selinv_bidiagonal_into: previous covariances / decay bounds too short");
 
   la::Workspace::Scope scope(la::tls_workspace());
   index maxn = 0;
@@ -183,9 +186,9 @@ TruncatedPass selinv_bidiagonal_delta_into(const BidiagonalFactor& f, la::index 
   const index nf = f.diag[static_cast<std::size_t>(from)].rows();
   const Matrix& sf = s[static_cast<std::size_t>(from)];
   if (sf.rows() != nf || sf.cols() != nf)
-    throw std::invalid_argument("selinv_bidiagonal_delta_into: stale covariance shape");
+    throw std::invalid_argument("selinv_bidiagonal_into: stale covariance shape");
   cur.block(0, 0, nf, nf).assign(sf.view());
-  selinv_bidiagonal_tail_into(f, from, s);
+  selinv_range(f, from, k, s);
   double dn = 0.0;
   for (index j = 0; j < nf; ++j)
     for (index q = 0; q < nf; ++q) {
@@ -215,7 +218,7 @@ TruncatedPass selinv_bidiagonal_delta_into(const BidiagonalFactor& f, la::index 
     la::gemm(1.0, t, Trans::No, w, Trans::Yes, 0.0, cur.block(0, 0, n, n));
     Matrix& sj = s[static_cast<std::size_t>(j)];
     if (sj.rows() != n || sj.cols() != n)
-      throw std::invalid_argument("selinv_bidiagonal_delta_into: stale covariance shape");
+      throw std::invalid_argument("selinv_bidiagonal_into: stale covariance shape");
     double s2 = 0.0;
     for (index c = 0; c < n; ++c)
       for (index q = 0; q < n; ++q) {

@@ -22,32 +22,26 @@ namespace pitk::kalman {
 /// cov(\hat u_i) for every state from a bidiagonal factor (Algorithm 1).
 [[nodiscard]] std::vector<Matrix> selinv_bidiagonal(const BidiagonalFactor& f);
 
-/// SelInv into caller-owned storage, reusing each block's capacity.  All
-/// per-state transients (W, the off-diagonal S block, the triangular
-/// inverse) are borrowed from the calling thread's la::Workspace, so a
-/// repeat pass over a same-shaped factor with warm `s` performs zero heap
-/// allocations.
-void selinv_bidiagonal_into(const BidiagonalFactor& f, std::vector<Matrix>& s);
-
-/// Partial-range SelInv: recompute s[from..k] with arithmetic identical to
-/// selinv_bidiagonal_into over that range (the recurrence restarts at the
-/// last block), leaving entries below `from` untouched.  `s` is resized to
-/// k+1 entries.
-void selinv_bidiagonal_tail_into(const BidiagonalFactor& f, la::index from,
-                                 std::vector<Matrix>& s);
-
-/// Truncated delta SelInv for streaming re-smooths.  `s` must hold the
-/// previous covariances of a factor whose blocks below `from` are unchanged.
-/// The tail s[from..k] is recomputed exactly, then only the correction
+/// Ranged SelInv into caller-owned storage, reusing each block's capacity.
+/// All per-state transients (W, the off-diagonal S block, the triangular
+/// inverse, the correction) are borrowed from the calling thread's
+/// la::Workspace, so a repeat pass with warm `s` performs zero heap
+/// allocations.  Same contract as paige_saunders_solve_into: s[from..k] is
+/// recomputed exactly (the recurrence restarts at the last block); tol == 0
+/// (the default) continues the exact recurrence down to state 0, bit for bit
+/// the full pass.  tol > 0 needs `s` to hold the previous covariances of a
+/// factor whose blocks below `from` are unchanged, and applies only the
+/// correction
 ///   Delta_j = W_j Delta_{j+1} W_j^T,   W_j = R_jj^{-1} R_{j,j+1}
-/// is applied downward, stopping at the first j where
+/// downward, stopping at the first j where
 ///   decay_amp[j]^2 * ||Delta_{j+1}||_F <= tol
 /// (squared: the covariance recurrence applies W on both sides), so each
 /// skipped state's covariance is missing a correction of Frobenius norm at
-/// most tol.  Same decay_amp as paige_saunders_solve_delta_into.
-TruncatedPass selinv_bidiagonal_delta_into(const BidiagonalFactor& f, la::index from,
-                                           std::span<const double> decay_amp, double tol,
-                                           std::vector<Matrix>& s);
+/// most tol.
+TruncatedPass selinv_bidiagonal_into(const BidiagonalFactor& f, std::vector<Matrix>& s,
+                                     la::index from = 0,
+                                     std::span<const double> decay_amp = {},
+                                     double tol = 0.0);
 
 /// Helper shared by both SelInv variants: R^{-1} R^{-T} for an upper
 /// triangular R (the "diagonal source" term of the recurrence).

@@ -1,5 +1,6 @@
 #include "engine/engine.hpp"
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -503,12 +504,9 @@ std::vector<std::future<JobResult>> SmootherEngine::submit_batch(std::vector<Pro
 }
 
 Session SmootherEngine::open_session(la::index n0, const SessionOptions& opts) {
-  if (!(opts.resmooth_tol > 0.0))
-    throw std::invalid_argument("open_session: resmooth_tol must be positive");
+  if (!std::isfinite(opts.resmooth_tol) || opts.resmooth_tol < 0.0)
+    throw std::invalid_argument("open_session: resmooth_tol must be finite and >= 0");
   auto st = std::make_shared<Session::State>(this, n0);
-  // The env override (read in the State constructor) can only force exactness
-  // on, never weaken an exact_resmooth() request.
-  st->exact_resmooth = st->exact_resmooth || opts.exact;
   st->resmooth_tol = opts.resmooth_tol;
   if (opts.store != nullptr) {
     st->journal = io::SessionJournal::create(*opts.store, opts.id, io::SessionKind::Linear);
@@ -545,39 +543,6 @@ NonlinearSession SmootherEngine::open_session(kalman::NonlinearModel model, la::
   }
   return NonlinearSession(std::move(st));
 }
-
-// Deprecated forwarders — defined here so every caller funnels through the
-// unified open_session overloads above.  The pragma keeps the library's own
-// build clean; external callers see the [[deprecated]] note.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-NonlinearSession SmootherEngine::open_nonlinear_session(kalman::NonlinearModel model,
-                                                        la::Vector u0,
-                                                        NonlinearJobOptions opts) {
-  SessionOptions so;
-  so.nonlinear = std::move(opts);
-  return open_session(std::move(model), std::move(u0), so);
-}
-
-Session SmootherEngine::open_durable_session(io::SessionStore& store, std::string_view id,
-                                             la::index n0) {
-  return open_session(n0, SessionOptions{}.durable(store, std::string(id)));
-}
-
-NonlinearSession SmootherEngine::open_durable_nonlinear_session(
-    io::SessionStore& store, std::string_view id, kalman::NonlinearModel model,
-    la::Vector u0, NonlinearJobOptions opts) {
-  SessionOptions so = SessionOptions{}.durable(store, std::string(id));
-  so.nonlinear = std::move(opts);
-  return open_session(std::move(model), std::move(u0), so);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 void SmootherEngine::wait_idle() {
   // A pool worker must never sleep here: parking a lane would shrink the

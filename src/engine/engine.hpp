@@ -30,7 +30,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/gauss_newton.hpp"
@@ -164,11 +163,10 @@ struct NonlinearJobOptions : SubmitOptions {
 /// deviation stays well below the library-wide 1e-10 agreement bar.
 inline constexpr double kDefaultResmoothTolerance = 1e-13;
 
-/// Options for opening a streaming session — ONE struct for all four
-/// previous entry points.  Nonlinear-ness is the open_session *overload*
-/// (pass a NonlinearModel + initial guess); durability is the orthogonal
-/// `durable(store, id)` option here.  Defaults reproduce the plain
-/// in-memory linear/nonlinear sessions exactly.
+/// Options for opening a streaming session.  Nonlinear-ness is the
+/// open_session *overload* (pass a NonlinearModel + initial guess);
+/// durability is the orthogonal `durable(store, id)` option here.  Defaults
+/// reproduce the plain in-memory linear/nonlinear sessions exactly.
 struct SessionOptions {
   /// Non-null: journal every mutation to `store` under `id` (write-ahead,
   /// with periodic snapshot compaction) so the session survives a crash and
@@ -180,14 +178,11 @@ struct SessionOptions {
   /// (NonlinearJobOptions::into must stay null — it is per smooth_async
   /// call).  Ignored by linear sessions.
   NonlinearJobOptions nonlinear;
-  /// Linear sessions: serve every re-smooth through the full spliced
-  /// backward pass (bit-for-bit the pre-truncation behavior) instead of the
-  /// truncated delta pass.  Also forced process-wide by PITK_RESMOOTH_EXACT=1.
-  bool exact = false;
   /// Linear sessions: per-state bound (2-norm for means, Frobenius for
   /// covariances) on the correction a truncated delta re-smooth may neglect.
-  /// Must be positive; larger values truncate earlier (faster appends,
-  /// looser agreement with the exact pass).
+  /// Must be finite and >= 0; larger values truncate earlier (faster
+  /// appends, looser agreement with the exact pass).  0 neglects nothing:
+  /// every re-smooth is the full spliced backward pass, bit for bit.
   double resmooth_tol = kDefaultResmoothTolerance;
 
   /// Builder conveniences so call sites read as a sentence:
@@ -203,10 +198,6 @@ struct SessionOptions {
   }
   SessionOptions& backend(Backend b) {
     nonlinear.backend = b;
-    return *this;
-  }
-  SessionOptions& exact_resmooth() {
-    exact = true;
     return *this;
   }
   SessionOptions& resmooth_tolerance(double tol) {
@@ -367,24 +358,6 @@ class SmootherEngine {
   /// warm start (same durability contract as the linear overload).
   [[nodiscard]] NonlinearSession open_session(kalman::NonlinearModel model, la::Vector u0,
                                               const SessionOptions& opts = {});
-
-  /// ---- deprecated pre-SessionOptions entry points -----------------------
-  /// Kept as thin forwarders so existing code compiles unchanged; nonlinear
-  /// and durable are orthogonal SessionOptions now, not separate names.
-
-  [[deprecated("use open_session(model, u0, SessionOptions) — nonlinear is an overload")]]
-  [[nodiscard]] NonlinearSession open_nonlinear_session(kalman::NonlinearModel model,
-                                                        la::Vector u0,
-                                                        NonlinearJobOptions opts = {});
-
-  [[deprecated("use open_session(n0, SessionOptions{}.durable(store, id))")]]
-  [[nodiscard]] Session open_durable_session(io::SessionStore& store, std::string_view id,
-                                             la::index n0);
-
-  [[deprecated("use open_session(model, u0, SessionOptions{}.durable(store, id))")]]
-  [[nodiscard]] NonlinearSession open_durable_nonlinear_session(
-      io::SessionStore& store, std::string_view id, kalman::NonlinearModel model,
-      la::Vector u0, NonlinearJobOptions opts = {});
 
   /// Reopen every journal in `store` and rebuild its session: scan the chunk
   /// file (truncating a torn tail), restore the snapshot if one was

@@ -22,7 +22,7 @@
 /// (capacity-reused, O(k) small copies) and solves outside it, so the
 /// measurement stream is never blocked behind a solve.
 ///
-/// Created by SmootherEngine::open_nonlinear_session(); must not outlive the
+/// Created by SmootherEngine::open_session(model, u0, opts); must not outlive the
 /// engine.
 
 #include <atomic>
@@ -134,7 +134,7 @@ class NonlinearSession {
     kalman::NonlinearModel model;  ///< k/dims/obs grow with advance()
     la::Vector u0;                 ///< initial guess for state 0 (cold start)
     NonlinearJobOptions opts;
-    /// Durable sessions only (SmootherEngine::open_durable_nonlinear_session
+    /// Durable sessions only (SessionOptions::durable
     /// / recover_all): the write-ahead journal advance() appends to, under
     /// `mu`.  Null for plain sessions.
     std::unique_ptr<io::SessionJournal> journal;

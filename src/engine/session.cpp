@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdlib>
 #include <utility>
 
 #include "core/oddeven.hpp"
@@ -43,16 +42,6 @@ constexpr std::uint32_t kResmoothRefreshInterval = 512;
 /// cache's truncated pass beats any parallel full pass).
 constexpr la::index kLargeSessionSteps = 4096;
 
-/// PITK_RESMOOTH_EXACT=1 forces the exact full-splice re-smooth everywhere
-/// in the process (read once; sessions capture it at open).
-bool env_exact_resmooth() {
-  static const bool v = [] {
-    const char* e = std::getenv("PITK_RESMOOTH_EXACT");
-    return e != nullptr && e[0] == '1';
-  }();
-  return v;
-}
-
 /// Globally unique serving stamps for the delta copy-out: a storage carries
 /// the stamp of the cache serve that last wrote it, so a cache can prove the
 /// storage's unchanged prefix is its own (pointer identity alone would
@@ -78,7 +67,7 @@ void commit_and_maybe_compact(io::SessionJournal& j,
 }  // namespace
 
 Session::State::State(SmootherEngine* e, la::index n0)
-    : engine(e), filter(n0), exact_resmooth(env_exact_resmooth()) {}
+    : engine(e), filter(n0) {}
 Session::State::~State() = default;
 
 void Session::evolve(Matrix f, Vector c, CovFactor k) {
@@ -132,9 +121,10 @@ void Session::resmooth(const State& st, ResmoothCache& cache, bool with_covarian
   std::lock_guard<std::mutex> cl(cache.mu);
   bool hit = false;
   bool covs_upgrade = false;  // factor and means current, only SelInv missing
-  bool delta_means = false;   // the truncated delta pass is admissible
-  bool delta_covs = false;
-  la::index splice_from = 0;  // previous live-block index == the delta seed point
+  // Start points of the ranged passes: the previous live-block index when
+  // the cache holds a seed for the truncated pass, 0 for a full pass.
+  la::index means_from = 0;
+  la::index covs_from = 0;
   {
     // The session lock is held only for the delta: epoch check, splice of
     // the newly finalized blocks (and their decay bounds), and compression
@@ -167,17 +157,19 @@ void Session::resmooth(const State& st, ResmoothCache& cache, bool with_covarian
                 cache.decay_amp.begin() + static_cast<std::ptrdiff_t>(prefix_before));
       cache.result_mutation = st.mutations;
       cache.result_valid = false;  // until the solve below completes
-      splice_from = static_cast<la::index>(prefix_before);
-      // The truncated delta pass needs: truncation allowed, a seed solving
-      // the previous splice of this factor (the old live-block index is
-      // `splice_from`, so the seed must hold exactly splice_from + 1
-      // states), at least one finalized block to seed across, and headroom
-      // before the forced full refresh.
-      delta_means = !st.exact_resmooth && cache.means_seed_valid && splice_from >= 1 &&
-                    cache.result.means.size() == static_cast<std::size_t>(splice_from) + 1 &&
-                    cache.truncated_streak < kResmoothRefreshInterval;
-      delta_covs = delta_means && with_covariances && cache.covs_seed_valid &&
-                   cache.result.covariances.size() == static_cast<std::size_t>(splice_from) + 1;
+      // The truncated pass needs a seed solving the previous splice of this
+      // factor (the old live-block index is `prefix_before`, so the seed must
+      // hold exactly prefix_before + 1 states), at least one finalized block
+      // to seed across, and headroom before the forced full refresh.
+      const std::size_t seed_len = prefix_before + 1;
+      if (cache.means_seed_valid && prefix_before >= 1 &&
+          cache.result.means.size() == seed_len &&
+          cache.truncated_streak < kResmoothRefreshInterval) {
+        means_from = static_cast<la::index>(prefix_before);
+        if (with_covariances && cache.covs_seed_valid &&
+            cache.result.covariances.size() == seed_len)
+          covs_from = means_from;
+      }
       cache.means_seed_valid = false;  // restored once the solve succeeds
       cache.covs_seed_valid = false;
       st.steps_spliced.fetch_add(cache.prefix_len - prefix_before,
@@ -202,30 +194,20 @@ void Session::resmooth(const State& st, ResmoothCache& cache, bool with_covarian
     // and the cached means; only the SelInv sweep is missing.
     if (!covs_upgrade) {
       PITK_TRACE_SPAN("session.solve");
-      if (delta_means) {
-        const kalman::TruncatedPass tp = kalman::paige_saunders_solve_delta_into(
-            cache.factor, splice_from, cache.decay_amp, st.resmooth_tol, cache.result.means);
-        pass_low = static_cast<std::size_t>(tp.updated_from);
-        truncated = tp.truncated;
-      } else {
-        kalman::paige_saunders_solve_into(cache.factor, cache.result.means);
-      }
+      const kalman::TruncatedPass tp = kalman::paige_saunders_solve_into(
+          cache.factor, cache.result.means, means_from, cache.decay_amp, st.resmooth_tol);
+      pass_low = static_cast<std::size_t>(tp.updated_from);
+      truncated = tp.truncated;
       cache.means_low = std::min(cache.means_low, pass_low);
       cache.means_seed_valid = true;
     }
     if (with_covariances) {
       PITK_TRACE_SPAN("session.selinv");
-      std::size_t cov_low = 0;
-      if (delta_covs) {
-        const kalman::TruncatedPass tp = kalman::selinv_bidiagonal_delta_into(
-            cache.factor, splice_from, cache.decay_amp, st.resmooth_tol,
-            cache.result.covariances);
-        cov_low = static_cast<std::size_t>(tp.updated_from);
-        truncated = truncated || tp.truncated;
-        pass_low = std::min(pass_low, cov_low);
-      } else {
-        kalman::selinv_bidiagonal_into(cache.factor, cache.result.covariances);
-      }
+      const kalman::TruncatedPass tp = kalman::selinv_bidiagonal_into(
+          cache.factor, cache.result.covariances, covs_from, cache.decay_amp, st.resmooth_tol);
+      const std::size_t cov_low = static_cast<std::size_t>(tp.updated_from);
+      truncated = truncated || tp.truncated;
+      pass_low = std::min(pass_low, cov_low);
       cache.covs_low = std::min(cache.covs_low, cov_low);
       cache.covs_seed_valid = true;
     }
@@ -244,7 +226,7 @@ void Session::resmooth(const State& st, ResmoothCache& cache, bool with_covarian
       st.truncation_skipped.fetch_add(pass_low, std::memory_order_relaxed);
       sm.truncated.add(1);
       sm.truncation_window.record(static_cast<double>(total - pass_low));
-    } else if (!covs_upgrade && !delta_means) {
+    } else if (!covs_upgrade && means_from == 0) {
       cache.truncated_streak = 0;  // a full backward pass re-zeroed the error
     }
   }
@@ -389,10 +371,10 @@ std::future<JobResult> Session::smooth_async(bool with_covariances, SmootherResu
   // the shared pool: a full sequential backward pass over >=4096 states is
   // exactly the regime the parallel backends exist for.  A *warm* cache's
   // truncated delta pass beats any full pass regardless of parallelism, so
-  // warmth keeps the track on the small path; exact sessions always take it
-  // (their bit-for-bit promise is "the PR 4 spliced path, unchanged").
+  // warmth keeps the track on the small path; exact sessions (tolerance 0)
+  // always take it, since their promise is the spliced full pass bit for bit.
   bool large = false;
-  if (!st->exact_resmooth && num_states >= kLargeSessionSteps &&
+  if (st->resmooth_tol > 0.0 && num_states >= kLargeSessionSteps &&
       !st->engine->pool_.is_serial()) {
     std::lock_guard<std::mutex> cl(st->async_cache.mu);
     large = !st->async_cache.means_seed_valid;

@@ -62,7 +62,7 @@ struct SessionStats {
   std::uint64_t covariance_upgrades = 0;  ///< means current; only SelInv was missing
   std::uint64_t steps_spliced = 0;        ///< finalized blocks spliced over all misses
   /// Misses whose backward pass the decay bound stopped early (the truncated
-  /// delta path; 0 for exact_resmooth() sessions).  Mirrored as
+  /// delta path; 0 for sessions at resmooth_tolerance(0.0)).  Mirrored as
   /// pitk.session.truncated_resmooths; the per-pass window of states
   /// actually updated feeds the pitk.session.truncation_window histogram.
   std::uint64_t truncated_resmooths = 0;
@@ -180,15 +180,13 @@ class Session {
     SmootherEngine* engine;
     mutable std::mutex mu;
     kalman::IncrementalFilter filter;
-    /// Durable sessions only (SmootherEngine::open_durable_session /
-    /// recover_all): the write-ahead journal every mutation appends to,
-    /// under `mu`.  Null for plain sessions — the common case pays one
-    /// pointer test per mutation.
+    /// Durable sessions only (SessionOptions::durable / recover_all): the
+    /// write-ahead journal every mutation appends to, under `mu`.  Null for
+    /// plain sessions — the common case pays one pointer test per mutation.
     std::unique_ptr<io::SessionJournal> journal;
     std::uint64_t mutations = 0;  ///< evolve/observe/reset count (result-cache key)
-    /// Truncated-resmooth knobs, fixed at open (SessionOptions / the
-    /// PITK_RESMOOTH_EXACT env override read once per process).
-    bool exact_resmooth = false;
+    /// Truncated-resmooth tolerance, fixed at open (SessionOptions); 0 makes
+    /// every re-smooth the exact full pass.
     double resmooth_tol = kDefaultResmoothTolerance;
     mutable ResmoothCache sync_cache;
     mutable ResmoothCache async_cache;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "kalman/dense_reference.hpp"
 #include "la/blas.hpp"
 #include "test_util.hpp"
@@ -140,6 +143,78 @@ TEST(PaigeSaunders, RejectsInvalidProblem) {
   Problem p;
   p.start(3);
   EXPECT_THROW((void)paige_saunders_smooth(p), std::invalid_argument);
+}
+
+// ---- the ranged pass that streaming re-smooths run ----
+
+/// 2-norm of a - b.
+double diff_norm(const Vector& a, const Vector& b) {
+  double s2 = 0.0;
+  for (index q = 0; q < a.size(); ++q) s2 += (a[q] - b[q]) * (a[q] - b[q]);
+  return std::sqrt(s2);
+}
+
+/// Parameter: the state dimension (3 runs the small-dim loops, 10 gemv/trsv).
+class RangedSolveTest : public ::testing::TestWithParam<index> {
+ protected:
+  static constexpr index k0 = 40;  ///< live block of the seed == `from`
+  Rng rng{0x5A1 + static_cast<std::uint64_t>(GetParam())};
+  test::ExtendedFactor ef = test::extended_factor(rng, GetParam(), k0, 3);
+  std::vector<Vector> seed = paige_saunders_solve(ef.before);
+  std::vector<Vector> full = paige_saunders_solve(ef.after);
+};
+
+TEST_P(RangedSolveTest, FromZeroIsTheByValuePass) {
+  // Warm storage holding stale values and a tolerance that would truncate:
+  // from = 0 still recomputes every state.
+  std::vector<Vector> u = seed;
+  const TruncatedPass tp = paige_saunders_solve_into(ef.after, u, 0, ef.decay_amp, 1e-6);
+  EXPECT_EQ(tp.updated_from, 0);
+  EXPECT_FALSE(tp.truncated);
+  test::expect_means_near(u, full, 0.0, "from 0 vs by-value");
+}
+
+TEST_P(RangedSolveTest, ToleranceZeroIsTheFullPassBitForBit) {
+  std::vector<Vector> u = seed;
+  const TruncatedPass tp = paige_saunders_solve_into(ef.after, u, k0, ef.decay_amp, 0.0);
+  EXPECT_EQ(tp.updated_from, 0);
+  EXPECT_FALSE(tp.truncated);
+  test::expect_means_near(u, full, 0.0, "tol 0 vs full pass");
+}
+
+TEST_P(RangedSolveTest, PositiveToleranceTruncatesWithinTheBound) {
+  const double tol = 1e-6;
+  std::vector<Vector> u = seed;
+  const TruncatedPass tp = paige_saunders_solve_into(ef.after, u, k0, ef.decay_amp, tol);
+  EXPECT_TRUE(tp.truncated);
+  EXPECT_GT(tp.updated_from, 0);
+  EXPECT_LT(tp.updated_from, k0);
+  ASSERT_EQ(u.size(), full.size());
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    EXPECT_LE(diff_norm(u[i], full[i]), tol) << "state " << i;
+    if (static_cast<index>(i) < tp.updated_from)
+      test::expect_near(u[i].span(), seed[i].span(), 0.0, "skipped state keeps the seed");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(StateDims, RangedSolveTest, ::testing::Values(3, 10));
+
+TEST(PaigeSaunders, RangedSolveRejectsBadArguments) {
+  Rng rng(0x5A2);
+  const index k0 = 12;
+  const test::ExtendedFactor ef = test::extended_factor(rng, 3, k0, 2);
+  const index k = k0 + 2;
+  std::vector<Vector> u = paige_saunders_solve(ef.before);
+  EXPECT_THROW(paige_saunders_solve_into(ef.after, u, -1), std::invalid_argument);
+  EXPECT_THROW(paige_saunders_solve_into(ef.after, u, k + 1), std::invalid_argument);
+  EXPECT_THROW(paige_saunders_solve_into(ef.after, u, k0, ef.decay_amp, -1.0),
+               std::invalid_argument);
+  std::vector<Vector> short_seed(u.begin(), u.end() - 1);
+  EXPECT_THROW(paige_saunders_solve_into(ef.after, short_seed, k0, ef.decay_amp, 1e-6),
+               std::invalid_argument);
+  const std::span<const double> short_amp(ef.decay_amp.data(), k0 - 1);
+  EXPECT_THROW(paige_saunders_solve_into(ef.after, u, k0, short_amp, 1e-6),
+               std::invalid_argument);
 }
 
 }  // namespace

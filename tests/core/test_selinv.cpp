@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "la/cholesky.hpp"
 
 #include "kalman/dense_reference.hpp"
@@ -84,6 +87,78 @@ TEST(SelInvBidiagonal, CovariancesAreSymmetricPsd) {
     Matrix l = c;
     EXPECT_TRUE(la::cholesky_lower(l.view())) << "covariance must be PSD";
   }
+}
+
+// ---- the ranged pass that streaming re-smooths run ----
+
+/// Frobenius norm of a - b.
+double diff_norm(const Matrix& a, const Matrix& b) {
+  double s2 = 0.0;
+  for (index j = 0; j < a.cols(); ++j)
+    for (index i = 0; i < a.rows(); ++i) s2 += (a(i, j) - b(i, j)) * (a(i, j) - b(i, j));
+  return std::sqrt(s2);
+}
+
+/// Parameter: the state dimension (3 runs the small-dim tiles, 10 the
+/// blocked kernels).
+class RangedSelInvTest : public ::testing::TestWithParam<index> {
+ protected:
+  static constexpr index k0 = 40;  ///< live block of the seed == `from`
+  Rng rng{0x5B1 + static_cast<std::uint64_t>(GetParam())};
+  test::ExtendedFactor ef = test::extended_factor(rng, GetParam(), k0, 3);
+  std::vector<Matrix> seed = selinv_bidiagonal(ef.before);
+  std::vector<Matrix> full = selinv_bidiagonal(ef.after);
+};
+
+TEST_P(RangedSelInvTest, FromZeroIsTheByValuePass) {
+  std::vector<Matrix> s = seed;
+  const TruncatedPass tp = selinv_bidiagonal_into(ef.after, s, 0, ef.decay_amp, 1e-6);
+  EXPECT_EQ(tp.updated_from, 0);
+  EXPECT_FALSE(tp.truncated);
+  test::expect_covs_near(s, full, 0.0, "from 0 vs by-value");
+}
+
+TEST_P(RangedSelInvTest, ToleranceZeroIsTheFullPassBitForBit) {
+  std::vector<Matrix> s = seed;
+  const TruncatedPass tp = selinv_bidiagonal_into(ef.after, s, k0, ef.decay_amp, 0.0);
+  EXPECT_EQ(tp.updated_from, 0);
+  EXPECT_FALSE(tp.truncated);
+  test::expect_covs_near(s, full, 0.0, "tol 0 vs full pass");
+}
+
+TEST_P(RangedSelInvTest, PositiveToleranceTruncatesWithinTheBound) {
+  const double tol = 1e-6;
+  std::vector<Matrix> s = seed;
+  const TruncatedPass tp = selinv_bidiagonal_into(ef.after, s, k0, ef.decay_amp, tol);
+  EXPECT_TRUE(tp.truncated);
+  EXPECT_GT(tp.updated_from, 0);
+  EXPECT_LT(tp.updated_from, k0);
+  ASSERT_EQ(s.size(), full.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    EXPECT_LE(diff_norm(s[i], full[i]), tol) << "state " << i;
+    if (static_cast<index>(i) < tp.updated_from)
+      test::expect_near(s[i].view(), seed[i].view(), 0.0, "skipped state keeps the seed");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(StateDims, RangedSelInvTest, ::testing::Values(3, 10));
+
+TEST(SelInvBidiagonal, RangedPassRejectsBadArguments) {
+  Rng rng(0x5B2);
+  const index k0 = 12;
+  const test::ExtendedFactor ef = test::extended_factor(rng, 3, k0, 2);
+  const index k = k0 + 2;
+  std::vector<Matrix> s = selinv_bidiagonal(ef.before);
+  EXPECT_THROW(selinv_bidiagonal_into(ef.after, s, -1), std::invalid_argument);
+  EXPECT_THROW(selinv_bidiagonal_into(ef.after, s, k + 1), std::invalid_argument);
+  EXPECT_THROW(selinv_bidiagonal_into(ef.after, s, k0, ef.decay_amp, -1.0),
+               std::invalid_argument);
+  std::vector<Matrix> short_seed(s.begin(), s.end() - 1);
+  EXPECT_THROW(selinv_bidiagonal_into(ef.after, short_seed, k0, ef.decay_amp, 1e-6),
+               std::invalid_argument);
+  const std::span<const double> short_amp(ef.decay_amp.data(), k0 - 1);
+  EXPECT_THROW(selinv_bidiagonal_into(ef.after, s, k0, short_amp, 1e-6),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -4,19 +4,16 @@
 ///  - JobOptions / NonlinearJobOptions are thin extensions of the shared
 ///    SubmitOptions base (the deadline/timeout/cancel/into/backend plumbing
 ///    exists exactly once);
-///  - the one open_session(SessionOptions) entry point (nonlinear and
-///    durable as orthogonal options) produces *bit-identical* results to
-///    the four deprecated pre-unification entry points — including
-///    byte-identical on-disk journals for the durable pair, since journals
+///  - open_session(SessionOptions) is the one session entry point
+///    (nonlinear and durable as orthogonal options), and durable opens of
+///    the same stream write byte-identical on-disk journals, since journals
 ///    carry no timestamps.
-///
-/// The deprecated names are exercised here on purpose (warnings suppressed
-/// locally); everywhere else in the tree calls the unified API.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -69,12 +66,6 @@ void feed(Session& s, const kalman::Problem& track) {
   }
 }
 
-// The deprecated wrappers are the test subject here.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 TEST(ApiUnification, SubmitOptionsSliceCarriesTheSharedFields) {
   auto cancel = std::make_shared<CancelToken>();
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -103,82 +94,48 @@ TEST(ApiUnification, SubmitOptionsSliceCarriesTheSharedFields) {
   EXPECT_EQ(njo.delta_prior_variance, 1e4);  // derived defaults untouched
 }
 
-TEST(ApiUnification, LinearSessionOldVsNewBitIdentical) {
-  SmootherEngine eng({.threads = 2});
-  Rng rng(0xAB1);
-  const kalman::Problem track = kalman::make_paper_benchmark(rng, 3, 32);
-
-  Session s_new = eng.open_session(3);
-  Session s_old = eng.open_session(3, SessionOptions{});
-  feed(s_new, track);
-  feed(s_old, track);
-  expect_bit_identical(s_old.smooth(true), s_new.smooth(true));
-}
-
-TEST(ApiUnification, NonlinearSessionOldVsNewBitIdentical) {
-  SmootherEngine eng({.threads = 2});
-  Rng rng_a(0xAB2), rng_b(0xAB2);  // identical streams -> identical models
-  kalman::NonlinearModel m_old = kalman::make_pendulum_benchmark(rng_a, 24, 0.5);
-  kalman::NonlinearModel m_new = kalman::make_pendulum_benchmark(rng_b, 24, 0.5);
-
-  NonlinearJobOptions opts;
-  opts.gn.tolerance = 1e-12;
-  NonlinearSession old_s =
-      eng.open_nonlinear_session(std::move(m_old), Vector({0.5, 0.0}), opts);
-  SessionOptions so;
-  so.nonlinear = opts;
-  NonlinearSession new_s = eng.open_session(std::move(m_new), Vector({0.5, 0.0}), so);
-
-  expect_bit_identical(old_s.smooth(), new_s.smooth());
-}
-
-TEST(ApiUnification, DurableLinearOldVsNewByteIdenticalJournal) {
+TEST(ApiUnification, DurableLinearSessionsJournalByteIdentically) {
   SmootherEngine eng({.threads = 2});
   Rng rng(0xAB3);
   const kalman::Problem track = kalman::make_paper_benchmark(rng, 3, 24);
-  io::SessionStore store_old = fresh_store("lin-old");
-  io::SessionStore store_new = fresh_store("lin-new");
+  io::SessionStore store_a = fresh_store("lin-a");
+  io::SessionStore store_b = fresh_store("lin-b");
 
   {
-    Session s_old = eng.open_durable_session(store_old, "tenant", 3);
-    Session s_new = eng.open_session(3, SessionOptions{}.durable(store_new, "tenant"));
-    feed(s_old, track);
-    feed(s_new, track);
-    expect_bit_identical(s_old.smooth(true), s_new.smooth(true));
+    Session s_a = eng.open_session(3, SessionOptions{}.durable(store_a, "tenant"));
+    Session s_b = eng.open_session(3, SessionOptions{}.durable(store_b, "tenant"));
+    feed(s_a, track);
+    feed(s_b, track);
+    expect_bit_identical(s_a.smooth(true), s_b.smooth(true));
   }
-  const std::string old_bytes = file_bytes(store_old.path_for("tenant"));
-  ASSERT_FALSE(old_bytes.empty());
-  EXPECT_EQ(old_bytes, file_bytes(store_new.path_for("tenant")))
-      << "old and new durable opens must journal identically";
+  const std::string a_bytes = file_bytes(store_a.path_for("tenant"));
+  ASSERT_FALSE(a_bytes.empty());
+  EXPECT_EQ(a_bytes, file_bytes(store_b.path_for("tenant")))
+      << "durable opens of the same stream must journal identically";
 }
 
-TEST(ApiUnification, DurableNonlinearOldVsNewByteIdenticalJournal) {
+TEST(ApiUnification, DurableNonlinearSessionsJournalByteIdentically) {
   SmootherEngine eng({.threads = 2});
-  Rng rng_a(0xAB4), rng_b(0xAB4);
-  kalman::NonlinearModel m_old = kalman::make_pendulum_benchmark(rng_a, 16, 0.4);
-  kalman::NonlinearModel m_new = kalman::make_pendulum_benchmark(rng_b, 16, 0.4);
-  io::SessionStore store_old = fresh_store("nl-old");
-  io::SessionStore store_new = fresh_store("nl-new");
+  Rng rng_a(0xAB4), rng_b(0xAB4);  // identical streams -> identical models
+  kalman::NonlinearModel m_a = kalman::make_pendulum_benchmark(rng_a, 16, 0.4);
+  kalman::NonlinearModel m_b = kalman::make_pendulum_benchmark(rng_b, 16, 0.4);
+  io::SessionStore store_a = fresh_store("nl-a");
+  io::SessionStore store_b = fresh_store("nl-b");
 
   {
-    NonlinearSession s_old =
-        eng.open_durable_nonlinear_session(store_old, "tenant", std::move(m_old),
-                                           Vector({0.4, 0.0}));
-    NonlinearSession s_new = eng.open_session(
-        std::move(m_new), Vector({0.4, 0.0}), SessionOptions{}.durable(store_new, "tenant"));
-    expect_bit_identical(s_old.smooth(), s_new.smooth());
+    NonlinearSession s_a = eng.open_session(std::move(m_a), Vector({0.4, 0.0}),
+                                            SessionOptions{}.durable(store_a, "tenant"));
+    NonlinearSession s_b = eng.open_session(std::move(m_b), Vector({0.4, 0.0}),
+                                            SessionOptions{}.durable(store_b, "tenant"));
+    expect_bit_identical(s_a.smooth(), s_b.smooth());
   }
-  const std::string old_bytes = file_bytes(store_old.path_for("tenant"));
-  ASSERT_FALSE(old_bytes.empty());
-  EXPECT_EQ(old_bytes, file_bytes(store_new.path_for("tenant")))
-      << "old and new durable nonlinear opens must journal identically";
+  const std::string a_bytes = file_bytes(store_a.path_for("tenant"));
+  ASSERT_FALSE(a_bytes.empty());
+  EXPECT_EQ(a_bytes, file_bytes(store_b.path_for("tenant")))
+      << "durable nonlinear opens of the same stream must journal identically";
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-TEST(ApiUnification, SessionOptionsValidatesLikeTheOldEntryPoints) {
+TEST(ApiUnification, SessionOptionsValidatesThroughOpenSession) {
   SmootherEngine eng({.threads = 1});
   Rng rng(0xAB5);
   kalman::NonlinearModel m = kalman::make_pendulum_benchmark(rng, 8, 0.3);
@@ -189,6 +146,13 @@ TEST(ApiUnification, SessionOptionsValidatesLikeTheOldEntryPoints) {
   io::SessionStore store = fresh_store("validate");
   EXPECT_THROW((void)eng.open_session(3, SessionOptions{}.durable(store, "bad id!")),
                std::invalid_argument);
+  // The re-smooth tolerance must be finite and >= 0; 0 is the exact session.
+  EXPECT_THROW((void)eng.open_session(3, SessionOptions{}.resmooth_tolerance(-1.0)),
+               std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)eng.open_session(3, SessionOptions{}.resmooth_tolerance(nan)),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)eng.open_session(3, SessionOptions{}.resmooth_tolerance(0.0)));
 }
 
 TEST(ApiUnification, QueuedJobsAccessorTracksTheBoundedQueue) {

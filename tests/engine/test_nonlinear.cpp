@@ -278,9 +278,8 @@ TEST(EngineNonlinear, SessionWarmStartsFromCachedMeans) {
   base.obs.resize(static_cast<std::size_t>(k_base + 1));
 
   SmootherEngine eng({.threads = 2});
-  NonlinearJobOptions opts;
-  opts.gn = tight_options();
-  NonlinearSession s = eng.open_nonlinear_session(base, Vector({0.1, 0.0}), opts);
+  NonlinearSession s = eng.open_session(base, Vector({0.1, 0.0}),
+                                         SessionOptions{}.gauss_newton(tight_options()));
   EXPECT_EQ(s.current_step(), k_base);
 
   SmootherResult cold;
@@ -303,7 +302,7 @@ TEST(EngineNonlinear, SessionWarmStartsFromCachedMeans) {
 
   par::ThreadPool pool(2);
   const GaussNewtonResult direct =
-      gauss_newton_smooth(full, flat_init(k_total), pool, opts.gn);
+      gauss_newton_smooth(full, flat_init(k_total), pool, tight_options());
   test::expect_means_near(warm.means, direct.states, 1e-9, "warm session vs direct");
 
   // An unmutated repeat is a cache hit: identical result, no new solve.
@@ -316,9 +315,8 @@ TEST(EngineNonlinear, SessionAsyncSmooth) {
   Rng rng(0x6E8);
   NonlinearModel m = pendulum_model(rng, 36);
   SmootherEngine eng({.threads = 2});
-  NonlinearJobOptions opts;
-  opts.gn = tight_options();
-  NonlinearSession s = eng.open_nonlinear_session(m, Vector({0.1, 0.0}), opts);
+  NonlinearSession s = eng.open_session(m, Vector({0.1, 0.0}),
+                                         SessionOptions{}.gauss_newton(tight_options()));
 
   SmootherResult storage;
   JobResult jr = s.smooth_async(/*with_covariances=*/true, &storage).get();
@@ -329,7 +327,7 @@ TEST(EngineNonlinear, SessionAsyncSmooth) {
   ASSERT_EQ(storage.covariances.size(), static_cast<std::size_t>(m.k + 1));
 
   par::ThreadPool pool(2);
-  GaussNewtonOptions gn = opts.gn;
+  GaussNewtonOptions gn = tight_options();
   gn.final_covariance = true;
   const GaussNewtonResult direct = gauss_newton_smooth(m, flat_init(m.k), pool, gn);
   test::expect_means_near(storage.means, direct.states, 1e-9, "async session vs direct");
@@ -350,7 +348,7 @@ TEST(EngineNonlinear, InvalidUsesThrow) {
   EXPECT_THROW((void)eng.submit_nonlinear_batch(std::move(batch), opts),
                std::invalid_argument);
 
-  EXPECT_THROW((void)eng.open_nonlinear_session(m, Vector({0.0}), {}),
+  EXPECT_THROW((void)eng.open_session(m, Vector({0.0})),
                std::invalid_argument);
 
   // A malformed model fails the job's future, not the engine.

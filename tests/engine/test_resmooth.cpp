@@ -4,8 +4,8 @@
 /// track — across all five backends, after reset(), and from the async path
 /// — while its ResmoothCache only ever does delta work.  The truncated delta
 /// pass (PR 10) additionally must stay within its advertised tolerance, and
-/// an exact_resmooth() session must remain bit-for-bit the full spliced
-/// pass.
+/// an exact session (resmooth_tolerance(0.0)) must remain bit-for-bit the
+/// full spliced pass.
 
 #include <gtest/gtest.h>
 
@@ -62,7 +62,7 @@ TEST(Resmooth, IncrementalMatchesColdFullSmoothAcrossAllBackends) {
 
   // An exact session rides the identical stream; its incremental result must
   // also sit within the library bar against every backend.
-  Session sx = eng.open_session(3, SessionOptions{}.exact_resmooth());
+  Session sx = eng.open_session(3, SessionOptions{}.resmooth_tolerance(0.0));
   drive_range(sx, cp.for_qr, 0, split);
   (void)sx.smooth(true);
   drive_range(sx, cp.for_qr, split + 1, k);
@@ -83,7 +83,7 @@ TEST(Resmooth, IncrementalMatchesColdFullSmoothAcrossAllBackends) {
 }
 
 TEST(Resmooth, EverySmoothAlongAStreamMatchesScratchSession) {
-  // Smooth after every appended step.  An exact_resmooth() session must be
+  // Smooth after every appended step.  An exact (tolerance 0) session must be
   // bit-for-bit what a from-scratch session smoothing once would produce
   // (identical factor assembly and identical full backward pass => identical
   // arithmetic — the pre-truncation contract, preserved verbatim).  A
@@ -94,7 +94,7 @@ TEST(Resmooth, EverySmoothAlongAStreamMatchesScratchSession) {
   SmootherEngine eng({.threads = 1});
   const test::CommonProblem cp = test::common_problem(rng, 3, k);
 
-  Session sx = eng.open_session(3, SessionOptions{}.exact_resmooth());
+  Session sx = eng.open_session(3, SessionOptions{}.resmooth_tolerance(0.0));
   Session s = eng.open_session(3);
   drive_range(sx, cp.for_qr, 0, 0);
   drive_range(s, cp.for_qr, 0, 0);
@@ -240,7 +240,7 @@ TEST(Resmooth, TruncatedResmoothStaysWithinTheRequestedTolerance) {
   for (const double tol : {1e-4, 1e-7, 1e-10}) {
     SmootherEngine eng({.threads = 1});
     Session s = eng.open_session(n, SessionOptions{}.resmooth_tolerance(tol));
-    Session sx = eng.open_session(n, SessionOptions{}.exact_resmooth());
+    Session sx = eng.open_session(n, SessionOptions{}.resmooth_tolerance(0.0));
     Rng rng(7200 + static_cast<std::uint64_t>(-std::log10(tol)));
     Rng rng_twin = rng;  // identical observation stream for both sessions
     for (index i = 0; i <= k; ++i) {
@@ -269,7 +269,7 @@ TEST(Resmooth, DefaultToleranceHoldsTheLibraryBarAcrossForcedRefreshes) {
   const index k = 600;
   SmootherEngine eng({.threads = 1});
   Session s = eng.open_session(n);
-  Session sx = eng.open_session(n, SessionOptions{}.exact_resmooth());
+  Session sx = eng.open_session(n, SessionOptions{}.resmooth_tolerance(0.0));
   Rng rng(7201);
   Rng rng_twin = rng;
   SmootherResult out;
@@ -298,7 +298,7 @@ TEST(Resmooth, LargeColdAsyncSmoothTakesTheOddEvenPath) {
   const index k = 4100;
   SmootherEngine eng({.threads = 2});
   Session s = eng.open_session(n);
-  Session sx = eng.open_session(n, SessionOptions{}.exact_resmooth());
+  Session sx = eng.open_session(n, SessionOptions{}.resmooth_tolerance(0.0));
   Rng rng(7202);
   Rng rng_twin = rng;
   for (index i = 0; i <= k; ++i) {

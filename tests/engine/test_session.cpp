@@ -7,7 +7,7 @@
 #include "engine/engine.hpp"
 #include "kalman/dense_reference.hpp"
 #include "la/random.hpp"
-#include "parallel/task_group.hpp"
+#include "parallel/parallel_for.hpp"
 #include "test_util.hpp"
 
 namespace pitk::engine {
@@ -125,30 +125,26 @@ TEST(Session, ConcurrentSessionsStress) {
   std::vector<SmootherResult> streamed(S);
   std::vector<std::future<JobResult>> async(S);
   std::vector<int> estimates_seen(S, 0);
-  {
-    par::TaskGroup group(eng.pool());
-    for (int i = 0; i < S; ++i) {
-      group.run([i, &cps, &sessions, &streamed, &async, &estimates_seen] {
-        Session& s = sessions[static_cast<std::size_t>(i)];
-        const kalman::Problem& p = cps[static_cast<std::size_t>(i)].for_qr;
-        for (index t = 0; t < p.num_states(); ++t) {
-          const kalman::TimeStep& step = p.step(t);
-          if (step.evolution) s.evolve(step.evolution->F, step.evolution->c, step.evolution->noise);
-          if (step.observation)
-            s.observe(step.observation->G, step.observation->o, step.observation->noise);
-          // Interleave filtered reads with the stream.
-          if (t % 8 == 4 && s.estimate().has_value())
-            ++estimates_seen[static_cast<std::size_t>(i)];
-        }
-        // Synchronous smooth runs inline: always safe on a pool thread.
-        streamed[static_cast<std::size_t>(i)] = s.smooth(true);
-        // Async smooth is only *requested* here; the future is consumed on
-        // the main thread so no pool lane ever blocks on another job.
-        async[static_cast<std::size_t>(i)] = s.smooth_async(false);
-      });
+  // One stream per index, spread across the pool's threads (the calling
+  // thread participates).
+  par::parallel_for(eng.pool(), 0, S, 1, [&](index i) {
+    Session& s = sessions[static_cast<std::size_t>(i)];
+    const kalman::Problem& p = cps[static_cast<std::size_t>(i)].for_qr;
+    for (index t = 0; t < p.num_states(); ++t) {
+      const kalman::TimeStep& step = p.step(t);
+      if (step.evolution) s.evolve(step.evolution->F, step.evolution->c, step.evolution->noise);
+      if (step.observation)
+        s.observe(step.observation->G, step.observation->o, step.observation->noise);
+      // Interleave filtered reads with the stream.
+      if (t % 8 == 4 && s.estimate().has_value())
+        ++estimates_seen[static_cast<std::size_t>(i)];
     }
-    group.wait();
-  }
+    // Synchronous smooth runs inline: always safe on a pool thread.
+    streamed[static_cast<std::size_t>(i)] = s.smooth(true);
+    // Async smooth is only *requested* here; the future is consumed on
+    // the main thread so no pool lane ever blocks on another job.
+    async[static_cast<std::size_t>(i)] = s.smooth_async(false);
+  });
 
   for (int i = 0; i < S; ++i) {
     const SmootherResult ref = kalman::dense_smooth(cps[static_cast<std::size_t>(i)].for_qr, true);

@@ -122,7 +122,7 @@ TEST(Recovery, LinearKillAtEveryByte) {
   io::SessionStore live = fresh_store("every_byte_live");
   io::SessionStore crash = fresh_store("every_byte_crash");
   {
-    Session s = eng.open_durable_session(live, "s1", p.step(0).n);
+    Session s = eng.open_session(p.step(0).n, SessionOptions{}.durable(live, "s1"));
     for (const auto& op : ops) op(s);
   }  // destroying the handle closes the journal; the bytes are already flushed
 
@@ -178,7 +178,7 @@ TEST(Recovery, LinearSnapshotCompactionRoundTrip) {
   io::SessionStore live = fresh_store("compact_live", /*compact_every=*/5);
   io::SessionStore crash = fresh_store("compact_crash", /*compact_every=*/5);
 
-  Session s = eng.open_durable_session(live, "s1", p.step(0).n);
+  Session s = eng.open_session(p.step(0).n, SessionOptions{}.durable(live, "s1"));
   for (const auto& op : ops) op(s);
 
   // The file must be bounded by the snapshot + tail, not the full history.
@@ -234,7 +234,7 @@ TEST(Recovery, RecoveredSmoothAgreesWithAllFiveBackends) {
   SmootherEngine eng({.threads = 2});
   io::SessionStore live = fresh_store("backends_live");
   io::SessionStore crash = fresh_store("backends_crash");
-  Session s = eng.open_durable_session(live, "s1", 3);
+  Session s = eng.open_session(3, SessionOptions{}.durable(live, "s1"));
   for (const auto& op : ops) op(s);
 
   crash_copy(live, crash, "s1");
@@ -288,8 +288,9 @@ TEST(Recovery, NonlinearKillAndRecoverPerBackend) {
     base.dims.resize(static_cast<std::size_t>(k_base + 1));
     base.obs.resize(static_cast<std::size_t>(k_base + 1));
 
-    NonlinearSession s = eng.open_durable_nonlinear_session(live, "pend", base,
-                                                            Vector({0.1, 0.0}), opts);
+    SessionOptions so = SessionOptions{}.durable(live, "pend");
+    so.nonlinear = opts;
+    NonlinearSession s = eng.open_session(base, Vector({0.1, 0.0}), so);
     SmootherResult mid;
     s.smooth_into(mid);  // caches means -> the next compaction snapshots them
     for (index i = k_base + 1; i <= k_total; ++i)
@@ -332,7 +333,7 @@ TEST(Recovery, ResetChunkInvalidatesEverythingBeforeIt) {
   SmootherEngine eng({.threads = 2});
   io::SessionStore live = fresh_store("reset_live");
   io::SessionStore crash = fresh_store("reset_crash");
-  Session s = eng.open_durable_session(live, "s1", before.step(0).n);
+  Session s = eng.open_session(before.step(0).n, SessionOptions{}.durable(live, "s1"));
   for (const auto& op : pre_ops) op(s);
   const SmootherResult pre_smooth = s.smooth(true);  // populate the cache pre-reset
 
@@ -390,7 +391,7 @@ TEST(Recovery, ResmoothCacheRebuildsThenHits) {
   SmootherEngine eng({.threads = 2});
   io::SessionStore live = fresh_store("cache_live");
   io::SessionStore crash = fresh_store("cache_crash");
-  Session s = eng.open_durable_session(live, "s1", 3);
+  Session s = eng.open_session(3, SessionOptions{}.durable(live, "s1"));
   for (const auto& op : ops_of(cp.for_qr)) op(s);
   crash_copy(live, crash, "s1");
 
@@ -419,9 +420,9 @@ TEST(Recovery, FailuresAreIsolatedPerSession) {
   io::SessionStore live = fresh_store("isolation_live");
   io::SessionStore crash = fresh_store("isolation_crash");
   {
-    Session good = eng.open_durable_session(live, "good", 3);
+    Session good = eng.open_session(3, SessionOptions{}.durable(live, "good"));
     for (const auto& op : ops_of(cp.for_qr)) op(good);
-    Session other = eng.open_durable_session(live, "corrupt", 3);
+    Session other = eng.open_session(3, SessionOptions{}.durable(live, "corrupt"));
     for (const auto& op : ops_of(cp.for_qr)) op(other);
   }
   crash_copy(live, crash, "good");
@@ -477,7 +478,7 @@ TEST(Recovery, PoisonedJournalLosesDurabilityLoudlyButKeepsServing) {
   SmootherEngine eng({.threads = 2});
   io::SessionStore live = fresh_store("poison_live");
 
-  Session s = eng.open_durable_session(live, "s1", 3);
+  Session s = eng.open_session(3, SessionOptions{}.durable(live, "s1"));
   Session ref = eng.open_session(3);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (i == 4) {
@@ -504,8 +505,8 @@ TEST(Recovery, StoreValidatesIdsAndListsSessions) {
   EXPECT_NO_THROW((void)store.path_for("track-7.main_2"));
 
   SmootherEngine eng({.threads = 1});
-  { Session a = eng.open_durable_session(store, "alpha", 2); }
-  { Session b = eng.open_durable_session(store, "beta", 2); }
+  { Session a = eng.open_session(2, SessionOptions{}.durable(store, "alpha")); }
+  { Session b = eng.open_session(2, SessionOptions{}.durable(store, "beta")); }
   const std::vector<std::string> ids = store.list();
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], "alpha");

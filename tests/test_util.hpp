@@ -11,10 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "core/filter.hpp"
 #include "kalman/cov_factor.hpp"
 #include "kalman/model.hpp"
 #include "la/blas.hpp"
 #include "la/matrix.hpp"
+#include "la/qr.hpp"
 #include "la/random.hpp"
 
 namespace pitk::test {
@@ -164,6 +166,40 @@ inline CommonProblem common_problem(Rng& rng, index n, index k, bool dense_cov =
   cp.for_conventional = p;
   cp.for_qr = kalman::with_prior_observation(p, cp.prior);
   return cp;
+}
+
+/// A streaming factor extended by appended blocks, as a re-smoothing session
+/// sees it.  `before` is the spliced factor after k0 strongly damped steps
+/// (F = 0.5 I, unit noise, a random unit observation of every state);
+/// `after` is `before` spliced forward by `appended` more steps, so its
+/// blocks below k0 are unchanged; `decay_amp` holds the filter's decay
+/// bounds for `after`.
+struct ExtendedFactor {
+  kalman::BidiagonalFactor before;
+  kalman::BidiagonalFactor after;
+  std::vector<double> decay_amp;
+};
+
+inline ExtendedFactor extended_factor(Rng& rng, index n, index k0, index appended) {
+  kalman::IncrementalFilter filt(n);
+  auto step = [&](bool first) {
+    if (!first) {
+      Matrix f = Matrix::identity(n);
+      for (index q = 0; q < n; ++q) f(q, q) = 0.5;
+      filt.evolve(std::move(f), Vector(n), CovFactor::identity(n));
+    }
+    filt.observe(Matrix::identity(n), la::random_gaussian_vector(rng, n), CovFactor::identity(n));
+  };
+  ExtendedFactor ef;
+  la::QrScratch qr;
+  for (index i = 0; i <= k0; ++i) step(i == 0);
+  filt.resmooth_from(0, ef.before, qr);
+  for (index i = 0; i < appended; ++i) step(false);
+  ef.after = ef.before;
+  filt.resmooth_from(k0, ef.after, qr);
+  const std::span<const double> amps = filt.decay_amplification();
+  ef.decay_amp.assign(amps.begin(), amps.end());
+  return ef;
 }
 
 }  // namespace pitk::test
